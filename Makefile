@@ -13,9 +13,9 @@ test:
 test-fast:
 	$(PY) -m pytest tests/ -m "not slow" -x -q
 
-# Lint + strict type-check the engine-backend package (the pluggable
-# registry in src/repro/simnet/backends/ is held to the strictest bar;
-# config in pyproject.toml).  Each tool is skipped with a notice when
+# Lint + strict type-check the engine-tier package (the three tiers in
+# src/repro/simnet/backends/ are held to the strictest bar; config in
+# pyproject.toml).  Each tool is skipped with a notice when
 # not installed, so the target is usable from the bare runtime
 # environment; CI installs both and enforces them.
 lint:

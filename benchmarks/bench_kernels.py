@@ -1,6 +1,6 @@
 """Batch-kernel tier throughput: kernel vs fast vs reference.
 
-The batch-kernel dispatch tier (see :mod:`repro.simnet.batch` and
+The batch-kernel dispatch tier (see :mod:`repro.simnet.backends.batch` and
 ``docs/PERFORMANCE.md``) replaces the per-node Python fold with
 whole-population NumPy segment-reduces.  This benchmark measures
 rounds/sec of all three engine tiers on the T=4 overlap-handoff

@@ -22,7 +22,7 @@ from __future__ import annotations
 from typing import Any, List, Optional
 
 from .._validate import require_positive_int
-from ..simnet.batch import (
+from ..simnet.backends.batch import (
     FloodBroadcastBatchKernel,
     FloodMaxBatchKernel,
     FloodTokenBatchKernel,
@@ -66,7 +66,10 @@ class FloodToken(Algorithm):
 
     @classmethod
     def __batch_kernel__(cls, nodes, id_bits: int = 32):
-        """Boolean-OR reach batch kernel (see :mod:`repro.simnet.batch`)."""
+        """Boolean-OR reach batch kernel.
+
+        See :mod:`repro.simnet.backends.batch`.
+        """
         if cls is not FloodToken:
             return None
         return FloodTokenBatchKernel.build(nodes)
@@ -114,7 +117,10 @@ class FloodMax(Algorithm):
 
     @classmethod
     def __batch_kernel__(cls, nodes, id_bits: int = 32):
-        """Segment-max batch kernel (see :mod:`repro.simnet.batch`)."""
+        """Segment-max batch kernel.
+
+        See :mod:`repro.simnet.backends.batch`.
+        """
         if cls is not FloodMax:
             return None
         return FloodMaxBatchKernel.build(nodes)
@@ -158,7 +164,10 @@ class FloodBroadcast(Algorithm):
 
     @classmethod
     def __batch_kernel__(cls, nodes, id_bits: int = 32):
-        """Min-source-id reach batch kernel (see :mod:`repro.simnet.batch`)."""
+        """Min-source-id reach batch kernel.
+
+        See :mod:`repro.simnet.backends.batch`.
+        """
         if cls is not FloodBroadcast:
             return None
         return FloodBroadcastBatchKernel.build(nodes, id_bits)

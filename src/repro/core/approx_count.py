@@ -31,7 +31,8 @@ from typing import Optional
 import numpy as np
 
 from .._validate import require_positive_int
-from ..simnet.batch import MinVectorBatchKernel, aggregate_batch_kernel
+from ..simnet.backends.batch import (MinVectorBatchKernel,
+                                     aggregate_batch_kernel)
 from .aggregation import (
     AggregateNode,
     KnownBoundAggregateNode,
@@ -99,7 +100,10 @@ class ApproxCount(AggregateNode):
 
     @classmethod
     def __batch_kernel__(cls, nodes, id_bits: int = 32):
-        """Min-vector batch kernel (see :mod:`repro.simnet.batch`)."""
+        """Min-vector batch kernel.
+
+        See :mod:`repro.simnet.backends.batch`.
+        """
         if cls is not ApproxCount:
             return None
         return aggregate_batch_kernel(MinVectorBatchKernel.build, nodes,
@@ -128,7 +132,10 @@ class ApproxCountKnownBound(KnownBoundAggregateNode):
 
     @classmethod
     def __batch_kernel__(cls, nodes, id_bits: int = 32):
-        """Min-vector batch kernel (see :mod:`repro.simnet.batch`)."""
+        """Min-vector batch kernel.
+
+        See :mod:`repro.simnet.backends.batch`.
+        """
         if cls is not ApproxCountKnownBound:
             return None
         return aggregate_batch_kernel(MinVectorBatchKernel.build, nodes,

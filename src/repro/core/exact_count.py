@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..simnet.batch import IdSetBatchKernel, aggregate_batch_kernel
+from ..simnet.backends.batch import IdSetBatchKernel, aggregate_batch_kernel
 from ..simnet.message import NodeId
 from .aggregation import (
     AggregateNode,
@@ -71,7 +71,10 @@ class ExactCount(AggregateNode):
 
     @classmethod
     def __batch_kernel__(cls, nodes, id_bits: int = 32):
-        """Bitset-union batch kernel (see :mod:`repro.simnet.batch`)."""
+        """Bitset-union batch kernel.
+
+        See :mod:`repro.simnet.backends.batch`.
+        """
         if cls is not ExactCount:
             return None
         return aggregate_batch_kernel(
@@ -96,7 +99,10 @@ class ExactCountKnownBound(KnownBoundAggregateNode):
 
     @classmethod
     def __batch_kernel__(cls, nodes, id_bits: int = 32):
-        """Bitset-union batch kernel (see :mod:`repro.simnet.batch`)."""
+        """Bitset-union batch kernel.
+
+        See :mod:`repro.simnet.backends.batch`.
+        """
         if cls is not ExactCountKnownBound:
             return None
         return aggregate_batch_kernel(

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..simnet.batch import MaxBatchKernel, aggregate_batch_kernel
+from ..simnet.backends.batch import MaxBatchKernel, aggregate_batch_kernel
 from .aggregation import AggregateNode, KnownBoundAggregateNode, MaxAggregate
 
 __all__ = ["SublinearMax", "MaxKnownBound"]
@@ -57,7 +57,10 @@ class SublinearMax(AggregateNode):
 
     @classmethod
     def __batch_kernel__(cls, nodes, id_bits: int = 32):
-        """Segment-max batch kernel (see :mod:`repro.simnet.batch`)."""
+        """Segment-max batch kernel.
+
+        See :mod:`repro.simnet.backends.batch`.
+        """
         if cls is not SublinearMax:
             return None
         return aggregate_batch_kernel(MaxBatchKernel.build, nodes,
@@ -86,7 +89,10 @@ class MaxKnownBound(KnownBoundAggregateNode):
 
     @classmethod
     def __batch_kernel__(cls, nodes, id_bits: int = 32):
-        """Segment-max batch kernel (see :mod:`repro.simnet.batch`)."""
+        """Segment-max batch kernel.
+
+        See :mod:`repro.simnet.backends.batch`.
+        """
         if cls is not MaxKnownBound:
             return None
         return aggregate_batch_kernel(MaxBatchKernel.build, nodes,

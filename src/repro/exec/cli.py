@@ -141,18 +141,18 @@ def _parser() -> argparse.ArgumentParser:
                           "and merge them into DIR/events.jsonl (cached "
                           "cells execute no trial, so they emit no "
                           "events); see docs/OBSERVABILITY.md")
-    from ..simnet.backends import available_engines
+    from ..simnet.engine import ENGINES
 
-    run.add_argument("--engine", default=None, choices=available_engines(),
+    run.add_argument("--engine", default=None, choices=ENGINES,
                      help="engine for every trial (exported as "
                           "REPRO_ENGINE so worker processes inherit it; "
-                          "all built-in choices produce identical rows)")
+                          "all choices produce identical rows)")
 
     sub.add_parser("builders",
                    help="list registered schedule/node/oracle builders")
     sub.add_parser("engines",
-                   help="list registered engine backends (priorities and "
-                        "capability flags; see docs/ENGINES.md)")
+                   help="list the engine choices and the three tiers "
+                        "they walk (see docs/ENGINES.md)")
 
     cache = sub.add_parser("cache", help="inspect or clear a result cache")
     cache.add_argument("--dir", required=True, metavar="DIR",

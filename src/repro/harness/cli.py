@@ -16,9 +16,9 @@ missing cells.  Parallel rows are byte-identical to serial rows.
 ``--profile`` turns on the engine's per-phase timing (see
 ``docs/PERFORMANCE.md``): every freshly executed trial contributes
 ``compose`` / ``reveal`` / ``deliver`` / ``drain`` wall-clock totals to
-a process-wide accumulator and an aggregate is printed after each
-experiment.  The timings never enter the content-addressed result cache
-(they are not deterministic row data).
+a process-wide accumulator, and after each experiment the CLI prints
+what that experiment added to it.  The timings never enter the
+content-addressed result cache (they are not deterministic row data).
 """
 
 from __future__ import annotations
@@ -26,10 +26,10 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from typing import List, Optional
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..exec.executor import ExecOptions
-from ..simnet.backends import available_engines, registered_backends
+from ..simnet.engine import ENGINES, TIERS
 from .experiments import EXPERIMENTS, run_experiment, run_f1, run_f5, run_t1
 from .io import save_experiment
 
@@ -37,26 +37,10 @@ __all__ = ["main", "render_engine_list"]
 
 
 def render_engine_list() -> str:
-    """The registered engine backends, one line each (``--list-engines``).
-
-    Lists the selection aliases first, then every registered backend
-    with its negotiation priority and the capability flags it declares
-    (see ``docs/ENGINES.md``); third-party backends added through
-    :func:`repro.simnet.backends.register_backend` appear automatically.
-    """
-    lines = ["engines: " + " ".join(available_engines())]
-    for backend in registered_backends():
-        info = backend.describe()
-        supports = list(info["supports"])
-        tags = []
-        if info["auto"]:
-            tags.append("auto")
-        if info["overlay"]:
-            tags.append("overlay")
-        tag_text = f" [{', '.join(tags)}]" if tags else ""
-        lines.append(
-            f"  {info['name']:<12} priority={info['priority']:<3}{tag_text} "
-            f"supports: {', '.join(supports) if supports else '(none)'}")
+    """The engine choices, then one line per tier in the order a run
+    tries them (``--list-engines``; see ``docs/ENGINES.md``)."""
+    lines = ["engines: " + " ".join(ENGINES)]
+    lines.extend(f"  {tier.name:<10} {tier.summary}" for tier in TIERS)
     return "\n".join(lines)
 
 
@@ -94,17 +78,16 @@ def _parser() -> argparse.ArgumentParser:
                              "per-tier dispatch counts (batch kernels / "
                              "fast / reference) and print an aggregate "
                              "after each experiment")
-    parser.add_argument("--engine", default=None,
-                        choices=available_engines(),
+    parser.add_argument("--engine", default=None, choices=ENGINES,
                         help="engine for every simulator the experiments "
-                             "construct (default: fast, with batch-kernel "
-                             "dispatch; all choices produce identical "
-                             "results; registered backends appear "
-                             "automatically — see --list-engines)")
+                             "construct: fast (default) tries the batch "
+                             "kernels, then the fast path, then the "
+                             "reference loops; fast-nobatch skips the "
+                             "kernels; reference pins the reference loops "
+                             "(all choices produce identical results)")
     parser.add_argument("--list-engines", action="store_true",
-                        help="list the registered engine backends with "
-                             "their priorities and capability flags, "
-                             "then exit")
+                        help="list the engine choices and the three "
+                             "tiers they walk, then exit")
     parser.add_argument("--events", default=None, metavar="DIR",
                         help="record schema-validated JSONL event streams "
                              "(one trial-*.jsonl per trial) under DIR and "
@@ -113,11 +96,38 @@ def _parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _render_profile() -> str:
-    """One-line summary of the process-wide per-phase timing totals."""
+#: ``(per-phase seconds, profiled trials, rounds per tier)`` so far.
+_Snapshot = Tuple[Dict[str, float], int, Dict[str, int]]
+
+
+def _profile_snapshot() -> _Snapshot:
+    """The process-wide profiling accumulators at this instant."""
     from .runner import engine_totals, phase_totals
 
     totals, trials = phase_totals()
+    return totals, trials, engine_totals()
+
+
+def _timed(run: Callable[..., Any], *args: Any, **kwargs: Any
+           ) -> Tuple[Any, Tuple[float, _Snapshot, _Snapshot]]:
+    """``run(*args, **kwargs)`` plus its wall time and the profiling
+    snapshots taken either side of it."""
+    before = _profile_snapshot()
+    started = time.perf_counter()
+    result = run(*args, **kwargs)
+    elapsed = time.perf_counter() - started
+    return result, (elapsed, before, _profile_snapshot())
+
+
+def _render_profile(before: _Snapshot, after: _Snapshot) -> str:
+    """One-line summary of the per-phase timings and tier rounds that
+    accrued between two :func:`_profile_snapshot` calls."""
+    totals = {name: seconds - before[0].get(name, 0.0)
+              for name, seconds in after[0].items()}
+    trials = after[1] - before[1]
+    tiers = {tier: rounds - before[2].get(tier, 0)
+             for tier, rounds in after[2].items()
+             if rounds != before[2].get(tier, 0)}
     if trials == 0:
         return ("[profile] no trials executed (cached/resumed rows carry "
                 "no timings; rerun against a cold cache to measure)")
@@ -126,7 +136,6 @@ def _render_profile() -> str:
         f"{name} {value:.3f}s ({100 * value / grand:.0f}%)"
         for name, value in sorted(totals.items()))
     line = f"[profile] {trials} trials: {parts}"
-    tiers = engine_totals()
     if tiers:
         tier_parts = ", ".join(
             f"{tier} {rounds}" for tier, rounds in sorted(tiers.items()))
@@ -198,28 +207,26 @@ def main(argv: Optional[List[str]] = None) -> int:
     exec_opts = _exec_options(args)
 
     # T1 feeds F1 and F5; share its rows when several are requested.
-    t1_cache = None
+    # Its cost is measured where it runs and reported for t1.
+    t1 = None
     if "t1" in ids or ("f1" in ids and "f5" in ids):
-        t1_cache = run_t1(quick=args.quick, exec_opts=exec_opts)
+        t1 = _timed(run_t1, quick=args.quick, exec_opts=exec_opts)
 
     for exp_id in ids:
-        started = time.time()
-        if exp_id == "t1" and t1_cache is not None:
-            result = t1_cache
-        elif exp_id == "f1" and t1_cache is not None:
-            result = run_f1(quick=args.quick, t1=t1_cache,
-                            exec_opts=exec_opts)
-        elif exp_id == "f5" and t1_cache is not None:
-            result = run_f5(quick=args.quick, t1=t1_cache,
-                            exec_opts=exec_opts)
+        if exp_id == "t1" and t1 is not None:
+            result, cost = t1
+        elif exp_id in ("f1", "f5") and t1 is not None:
+            run = run_f1 if exp_id == "f1" else run_f5
+            result, cost = _timed(run, quick=args.quick, t1=t1[0],
+                                  exec_opts=exec_opts)
         else:
-            result = run_experiment(exp_id, quick=args.quick,
-                                    exec_opts=exec_opts)
-        elapsed = time.time() - started
+            result, cost = _timed(run_experiment, exp_id, quick=args.quick,
+                                  exec_opts=exec_opts)
+        elapsed, before, after = cost
         print(result.render())
         print(f"[{exp_id} finished in {elapsed:.1f}s]\n")
         if args.profile:
-            print(_render_profile())
+            print(_render_profile(before, after))
             print()
         if args.out:
             path = save_experiment(result, args.out)

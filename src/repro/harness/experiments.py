@@ -65,6 +65,7 @@ from ..dynamics import (
 )
 from ..exec.executor import ExecOptions
 from ..exec.specs import TrialSpec
+from ..simnet.engine import ENGINE_TIERS
 from ..simnet.rng import RngRegistry
 from .runner import TrialConfig, run_trial
 
@@ -964,7 +965,7 @@ def run_x2(quick: bool = False, *,
     for loss in losses:
         stab_rounds, stab_ok = [], []
         kb_ok = []
-        tier_rounds = {"batch": 0, "fast": 0, "reference": 0}
+        tier_rounds = {tier: 0 for tier in ENGINE_TIERS}
         for seed in seeds:
             sched = _lowdiam_schedule(n, T, seed)
             d = dynamic_diameter(sched)

@@ -165,7 +165,7 @@ class EngineTierEvent(Event):
     ``declined`` is the structured form of ``reason``: a list of
     capability diffs (``{"backend", "missing", "detail"}`` dicts, see
     :meth:`repro.simnet.backends.base.CapabilityDiff.to_payload`), one
-    per backend the negotiator passed over — ``None`` when nothing was
+    per tier the engine passed over — ``None`` when nothing was
     declined.
     """
 

@@ -93,6 +93,9 @@ class StreamSummary:
 
 def summarize_streams(paths: List[str]) -> StreamSummary:
     """Aggregate per-kind counts, rounds, and tier splits over *paths*."""
+    # Imported here: the engine itself imports the obs package.
+    from ..simnet.engine import ENGINE_TIERS
+
     summary = StreamSummary()
     for path in paths:
         summary.streams += 1
@@ -106,7 +109,7 @@ def summarize_streams(paths: List[str]) -> StreamSummary:
                                   spec=event.spec, engine=event.engine)
             elif isinstance(event, SummaryEvent):
                 summary.rounds += event.rounds
-                for tier in ("batch", "fast", "reference"):
+                for tier in ENGINE_TIERS:
                     count = getattr(event, f"{tier}_rounds")
                     if count:
                         summary.tier_rounds[tier] = (

@@ -1,56 +1,22 @@
-"""Pluggable engine backends with capability negotiation.
+"""The three in-tree engine tiers.
 
-Importing this package registers the three built-in tiers — batch
-kernels (priority 30, overlay), the vectorized fast path (priority 20),
-and the reference loops (priority 10) — in the process-wide registry.
-Third-party tiers plug in with :func:`register_backend`; see
-``docs/ENGINES.md`` for the protocol and a worked example.
+Batch kernels (an overlay over the fast path), the vectorized fast
+path, and the reference loops.  :mod:`repro.simnet.engine` holds them
+as one fixed ordered tuple (:data:`repro.simnet.engine.TIERS`) and
+walks it when a run starts; see ``docs/ENGINES.md``.
 """
 
 from __future__ import annotations
 
-from .base import (
-    Capabilities,
-    CapabilityDiff,
-    EngineBackend,
-    REQUIREMENT_FIELDS,
-    missing_requirements,
-    requirement_description,
-)
+from .base import CapabilityDiff, EngineBackend
 from .batch import BatchBackend
 from .fast import FastBackend
 from .reference import ReferenceBackend
-from .registry import (
-    ENGINE_ALIASES,
-    Negotiation,
-    available_engines,
-    get_backend,
-    negotiate,
-    register_backend,
-    registered_backends,
-    unregister_backend,
-)
 
 __all__ = [
-    "Capabilities",
     "CapabilityDiff",
     "EngineBackend",
-    "REQUIREMENT_FIELDS",
-    "missing_requirements",
-    "requirement_description",
-    "ENGINE_ALIASES",
-    "Negotiation",
-    "available_engines",
-    "get_backend",
-    "negotiate",
-    "register_backend",
-    "registered_backends",
-    "unregister_backend",
     "BatchBackend",
     "FastBackend",
     "ReferenceBackend",
 ]
-
-register_backend(BatchBackend())
-register_backend(FastBackend())
-register_backend(ReferenceBackend())

@@ -1,144 +1,46 @@
-"""The engine-backend protocol: capabilities, declines, and hooks.
+"""The engine-tier protocol: structured declines and per-round hooks.
 
-An **engine backend** is one way of executing simulation rounds — the
-reference per-node loops, the vectorized fast path, the batch-kernel
-tier, or a third-party tier registered at runtime (see
-:mod:`repro.simnet.backends.registry`).  Each backend declares what run
-features it supports as a frozen :class:`Capabilities` record; the
-negotiator matches those declarations against the *requirements* of a
-concrete run (message loss, tracing, a ``stop_when`` predicate, …) and
-produces, for every backend it passes over, a structured
-:class:`CapabilityDiff` — the machine-readable "why was this tier
-declined" that feeds the observability layer's ``engine_tier`` events.
+An **engine tier** is one way of executing simulation rounds — the
+batch kernels, the vectorized fast path, or the reference per-node
+loops.  The engine walks the fixed tuple of the three
+(:data:`repro.simnet.engine.TIERS`) in that order when
+``Simulator.run()`` starts; a tier that cannot serve the run explains
+why as a structured :class:`CapabilityDiff` — the machine-readable
+"why was this tier declined" that feeds the observability layer's
+``engine_tier`` events.
 
-The protocol has three hooks:
+Each tier has three hooks:
 
-``prepare(sim, stop_when)``
-    Called when ``Simulator.run()`` starts, after the generic capability
-    check passed.  A backend probes anything only it can judge (the
-    batch tier builds the population kernel here) and either installs
-    its per-run state on the simulator and returns ``None``, or returns
-    a :class:`CapabilityDiff` explaining the decline — the negotiator
-    then falls through to the next candidate.
+``decline(sim, stop_when)``
+    Return ``None`` to serve the run, or a :class:`CapabilityDiff`
+    naming the run features (see :data:`REQUIREMENTS` for the
+    vocabulary) it cannot serve.  A tier that accepts installs its
+    per-run state here (the batch tier builds its population kernel).
 
 ``run_round(sim)``
     Execute exactly one synchronous round.  The contract is bit-for-bit
-    equivalence: every backend must produce the same
+    equivalence: every tier must produce the same
     :class:`~repro.simnet.engine.RunResult` (metrics, outputs, rounds,
     stop reason) as the reference loops for any run it accepted.
 
 ``reconcile(sim)``
-    Called when the run ends (or the backend retires mid-run), before
-    anything else may observe the node objects.  Backends that hold
+    Called when the run ends (or the tier retires mid-run), before
+    anything else may observe the node objects.  Tiers that hold
     population state outside the nodes (the batch tier's
     struct-of-arrays kernels) write it back here; it must be idempotent.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
-from typing import Any, Dict, List, Mapping, Optional, Tuple
+from dataclasses import dataclass
+from typing import Any, Dict, Optional, Tuple
 
-__all__ = [
-    "Capabilities",
-    "CapabilityDiff",
-    "EngineBackend",
-    "REQUIREMENT_FIELDS",
-    "requirement_description",
-    "missing_requirements",
-]
+__all__ = ["CapabilityDiff", "EngineBackend", "REQUIREMENTS"]
 
-
-@dataclass(frozen=True)
-class Capabilities:
-    """What run features a backend supports, one flag per feature.
-
-    Every field corresponds to a *requirement* a concrete run may pose
-    (see :data:`REQUIREMENT_FIELDS` for the requirement-name mapping);
-    a backend serves a run only when it supports every requirement the
-    run poses.  All flags default to ``False`` so a third-party backend
-    states its abilities explicitly.
-
-    Attributes
-    ----------
-    loss:
-        Per-delivery Bernoulli message loss (``loss_rate > 0``), drawn
-        from the shared ``"loss"`` RNG stream in per-receiver inbox
-        order.
-    trace:
-        A :class:`~repro.simnet.trace.TraceRecorder` observing
-        per-event round/broadcast/decide/retract/halt records.
-    stop_when:
-        A user predicate inspecting the simulator between rounds (the
-        per-node state must therefore be current after every round).
-    strict_bandwidth:
-        A CONGEST budget that must raise
-        :class:`~repro.errors.BandwidthExceededError` mid-phase at the
-        exact offending node.
-    mixed_population:
-        Node populations of more than one Algorithm class (or a class
-        without whole-population execution support).
-    adaptive_schedule:
-        Schedules that ``bind()`` the node list and read node state
-        between phases.
-    pre_halted:
-        Populations that already contain halted nodes when the run
-        starts.
-    mid_run_halt:
-        Whether the backend keeps executing after a halt event; when
-        ``False`` the engine retires it to the next candidate tier the
-        moment a node halts.
-    custom_metrics:
-        Instance-level overrides of
-        :meth:`~repro.simnet.metrics.MetricsCollector.on_broadcast`
-        (backends that accumulate broadcast sums in bulk cannot honour
-        a per-call override).
-    recorder:
-        A :class:`repro.obs.Recorder` streaming per-round structured
-        events.
-    adjacency_free:
-        Schedules exposing only the minimal
-        :class:`~repro.simnet.engine.ScheduleLike` duck type, with no
-        CSR ``adjacency()`` accessor.
-    """
-
-    loss: bool = False
-    trace: bool = False
-    stop_when: bool = False
-    strict_bandwidth: bool = False
-    mixed_population: bool = False
-    adaptive_schedule: bool = False
-    pre_halted: bool = False
-    mid_run_halt: bool = False
-    custom_metrics: bool = False
-    recorder: bool = False
-    adjacency_free: bool = False
-
-
-#: requirement name -> :class:`Capabilities` field serving it.  The
-#: requirement names are the stable vocabulary of the structured decline
-#: diffs (:attr:`CapabilityDiff.missing`) surfaced in ``engine_tier``
-#: observability events.
-REQUIREMENT_FIELDS: Dict[str, str] = {
-    "loss": "loss",
-    "trace": "trace",
-    "stop-when": "stop_when",
-    "strict-bandwidth": "strict_bandwidth",
-    "mixed-population": "mixed_population",
-    "adaptive-schedule": "adaptive_schedule",
-    "pre-halted": "pre_halted",
-    "mid-run-halt": "mid_run_halt",
-    "custom-metrics": "custom_metrics",
-    "recorder": "recorder",
-    "adjacency-free-schedule": "adjacency_free",
-    # Posed only by the batch tier's population probe; no capability
-    # flag serves it — the prepare() hook judges it dynamically.
-    "kernel-population": "mixed_population",
-}
-
-#: Human-readable phrasing per requirement, used when a run poses the
-#: requirement without supplying its own description.
-_REQUIREMENT_DESCRIPTIONS: Dict[str, str] = {
+#: Human-readable phrasing per requirement name.  The names are the
+#: stable vocabulary of :attr:`CapabilityDiff.missing` in
+#: ``engine_tier`` observability events.
+REQUIREMENTS: Dict[str, str] = {
     "loss": "loss_rate > 0",
     "trace": "trace recorder attached",
     "stop-when": "stop_when predicate inspects run state",
@@ -154,35 +56,13 @@ _REQUIREMENT_DESCRIPTIONS: Dict[str, str] = {
 }
 
 
-def requirement_description(name: str) -> str:
-    """Human phrasing of one requirement name (falls back to the name)."""
-    return _REQUIREMENT_DESCRIPTIONS.get(name, name)
-
-
-def missing_requirements(capabilities: Capabilities,
-                         requirements: Mapping[str, str]) -> Tuple[str, ...]:
-    """Requirement names in *requirements* the capabilities do not serve.
-
-    *requirements* maps requirement name -> description (the description
-    is carried into the rendered decline).  Unknown requirement names
-    are conservatively treated as unsupported.
-    """
-    missing: List[str] = []
-    for name in requirements:
-        field = REQUIREMENT_FIELDS.get(name)
-        if field is None or not getattr(capabilities, field):
-            missing.append(name)
-    return tuple(missing)
-
-
 @dataclass(frozen=True)
 class CapabilityDiff:
-    """Why a backend was declined, as a structured capability diff.
+    """Why a tier was declined, as a structured capability diff.
 
-    ``missing`` lists the requirement names (see
-    :data:`REQUIREMENT_FIELDS`) the backend's :class:`Capabilities` do
-    not serve; ``detail`` carries free-text context — a configuration
-    pin (``"engine='reference'"``) or a dynamic probe verdict (the batch
+    ``missing`` lists the requirement names the tier cannot serve;
+    ``detail`` carries free-text context — a configuration pin
+    (``"engine='reference'"``) or a dynamic probe verdict (the batch
     tier's kernel-builder explanation).  Either part may be empty, never
     both.  :meth:`to_payload` is the JSON shape embedded in
     :class:`~repro.obs.events.EngineTierEvent` ``declined`` entries.
@@ -193,8 +73,7 @@ class CapabilityDiff:
     detail: str = ""
 
     def render(self) -> str:
-        """One human-readable clause, matching the engine's historical
-        fallback strings where one exists.
+        """One human-readable clause.
 
         A ``detail`` (probe verdict or configuration pin) subsumes the
         requirement names it explains, so it renders alone; otherwise
@@ -202,7 +81,7 @@ class CapabilityDiff:
         """
         if self.detail:
             return self.detail
-        parts = [requirement_description(name) for name in self.missing]
+        parts = [REQUIREMENTS.get(name, name) for name in self.missing]
         return "; ".join(parts) if parts else f"{self.backend} declined"
 
     def to_payload(self) -> Dict[str, Any]:
@@ -213,37 +92,19 @@ class CapabilityDiff:
 
 
 class EngineBackend:
-    """Base class for engine backends (see the module docstring).
+    """Base class for the engine tiers (see the module docstring).
 
-    Class attributes
-    ----------------
-    name:
-        Registry key; also accepted by ``Simulator(engine=...)`` and the
-        CLIs' ``--engine`` once registered.
-    priority:
-        Negotiation order — higher is tried first.  The built-in tiers
-        use 30 (batch), 20 (fast), 10 (reference).
-    capabilities:
-        The backend's frozen feature declaration.
-    auto_negotiate:
-        Whether the default engine chain (``engine="fast"``) considers
-        this backend.  ``False`` (the default for third-party backends)
-        means the backend engages only when pinned by name.
-    overlay:
-        ``True`` for accelerator tiers that retire mid-run to the next
-        candidate (the batch tier); the engine never reports an overlay
-        as the simulator's base ``engine``.
+    ``name`` is the tier's key in per-run tier accounting and in
+    ``engine_tier`` events; ``summary`` is its one-line description for
+    ``--list-engines``.
     """
 
     name: str = ""
-    priority: int = 0
-    capabilities: Capabilities = Capabilities()
-    auto_negotiate: bool = False
-    overlay: bool = False
+    summary: str = ""
 
-    def prepare(self, sim: Any,
+    def decline(self, sim: Any,
                 stop_when: Optional[Any] = None) -> Optional[CapabilityDiff]:
-        """Per-run probe/setup; ``None`` accepts, a diff declines."""
+        """``None`` serves the run; a diff declines it."""
         return None
 
     def run_round(self, sim: Any) -> None:
@@ -251,20 +112,8 @@ class EngineBackend:
         raise NotImplementedError
 
     def reconcile(self, sim: Any) -> None:
-        """Write backend-held state back into the node objects.
+        """Write tier-held state back into the node objects.
 
-        Idempotent; called when the run ends or the backend retires.
+        Idempotent; called when the run ends or the tier retires.
         """
         return None
-
-    def describe(self) -> Dict[str, Any]:
-        """Introspection record used by ``--list-engines``."""
-        caps = self.capabilities
-        return {
-            "name": self.name,
-            "priority": self.priority,
-            "auto": self.auto_negotiate,
-            "overlay": self.overlay,
-            "supports": sorted(
-                f.name for f in fields(Capabilities) if getattr(caps, f.name)),
-        }

@@ -18,9 +18,8 @@ This module defines the opt-in **batch kernel protocol**:
 * the kernel holds the whole population's state as struct-of-arrays
   (values, bitsets, sketch matrices, decided flags, quiescence windows)
   and implements ``compose``/``deliver`` over the entire active set;
-* the :class:`BatchBackend` engages the kernel when the run's
-  capability negotiation allows it (see
-  :mod:`repro.simnet.backends.registry`), reconciles
+* the :class:`BatchBackend` engages the kernel when nothing about the
+  run declines it (see :meth:`BatchBackend.decline`), reconciles
   decisions/halts/metrics from the arrays, and writes the state back
   into the node objects before anything else can observe them.
 
@@ -69,7 +68,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..message import bit_size
-from .base import Capabilities, CapabilityDiff, EngineBackend
+from .base import CapabilityDiff, EngineBackend
 
 __all__ = [
     "BatchBackend",
@@ -77,7 +76,6 @@ __all__ = [
     "BatchKernel",
     "BatchQuiescence",
     "build_batch_kernel",
-    "describe_batch_ineligibility",
     "ineligibility_diff",
     "aggregate_batch_kernel",
     "lossy_delivery_view",
@@ -345,11 +343,6 @@ def ineligibility_diff(nodes: Sequence[Any]) -> CapabilityDiff:
         backend="batch", missing=("kernel-population",),
         detail=(f"{cls.__name__}.__batch_kernel__ declined the population "
                 f"(state it cannot represent exactly)"))
-
-
-def describe_batch_ineligibility(nodes: Sequence[Any]) -> str:
-    """Human-readable form of :func:`ineligibility_diff` (compat shim)."""
-    return ineligibility_diff(nodes).detail
 
 
 # --------------------------------------------------------------------------
@@ -928,7 +921,7 @@ def run_batch_round(sim: Any) -> None:
     stream in ascending node order, and streams are independent across
     nodes), identical shared loss-stream consumption (see
     :func:`lossy_delivery_view`), and no trace/strict-bandwidth
-    observables by negotiation.
+    observables (those runs decline the tier).
     """
     sim.round_index += 1
     r = sim.round_index
@@ -1061,51 +1054,49 @@ def deactivate_batch(sim: Any) -> None:
     kernel.finalize(sim.nodes)
 
 
+#: Static run features (see ``Simulator._features``) the kernels serve
+#: natively; every other one declines the tier.
+_SERVED_FEATURES = ("loss", "recorder")
+
+
 class BatchBackend(EngineBackend):
     """Whole-population kernel tier; an overlay over the fast path.
 
-    Statically capable of loss and recorder streams; everything that
-    observes per-node phase internals (trace events, mid-phase
-    strict-bandwidth raises, adaptive schedules, ``stop_when``
-    predicates, custom broadcast metrics) negotiates down to the next
-    tier, as does any population without an exact whole-population
-    kernel (probed in :meth:`prepare` via
+    Serves lossy and recorded runs; everything that observes per-node
+    phase internals (trace events, mid-phase strict-bandwidth raises,
+    adaptive schedules, ``stop_when`` predicates, custom broadcast
+    metrics) declines down to the next tier, as does any population
+    without an exact whole-population kernel (probed via
     :func:`build_batch_kernel`).
     """
 
     name = "batch"
-    priority = 30
-    auto_negotiate = True
-    overlay = True
-    capabilities = Capabilities(
-        loss=True,
-        trace=False,
-        stop_when=False,
-        strict_bandwidth=False,
-        mixed_population=False,
-        adaptive_schedule=False,
-        pre_halted=False,
-        mid_run_halt=False,
-        custom_metrics=False,
-        recorder=True,
-        adjacency_free=False,
-    )
+    summary = ("whole-population NumPy kernels over the fast tier "
+               "(off under fast-nobatch)")
 
-    def prepare(self, sim: Any,
+    def decline(self, sim: Any,
                 stop_when: Optional[Any] = None) -> Optional[CapabilityDiff]:
-        """Build the population kernel; decline with a structured diff.
+        """Probe the run and build the population kernel.
 
-        Pending decision events (e.g. a ``FloodToken`` seed deciding in
-        ``__init__``) are captured here and replayed into metrics in the
-        first batch round, exactly when the per-node drain would surface
-        them.
+        Static run features are checked first, then this run()'s
+        dynamic ones, then the kernel probe.  Pending decision events
+        (e.g. a ``FloodToken`` seed deciding in ``__init__``) are
+        captured here and replayed into metrics in the first batch
+        round, exactly when the per-node drain would surface them.
         """
+        missing = tuple(name for name in sim._features
+                        if name not in _SERVED_FEATURES)
+        if not missing:
+            missing = tuple(name for name, posed in (
+                ("stop-when", stop_when is not None),
+                ("pre-halted", sim._any_halted),
+                ("custom-metrics", "on_broadcast" in sim.metrics.__dict__),
+            ) if posed)
+        if missing:
+            return CapabilityDiff(backend=self.name, missing=missing)
         kernel = build_batch_kernel(sim.nodes, sim.id_bits)
         if kernel is None:
-            diff = ineligibility_diff(sim.nodes)
-            sim._batch_reason = diff.render()
-            return diff
-        sim._batch_reason = None
+            return ineligibility_diff(sim.nodes)
         pending: List[Tuple[int, List[tuple]]] = []
         for i, node in enumerate(sim.nodes):
             if node._events:

@@ -7,20 +7,20 @@ the incrementally-maintained active set instead of ``range(n)``, one
 reusable :class:`~repro.simnet.node.RoundContext` per node, CSR
 adjacency shared across stable T-interval windows, and live degrees
 computed vectorised.  Requires a schedule exposing ``adjacency()``;
-minimal :class:`~repro.simnet.engine.ScheduleLike` schedules negotiate
-down to the reference backend instead.
+minimal :class:`~repro.simnet.engine.ScheduleLike` schedules are
+declined to the reference backend instead.
 """
 
 from __future__ import annotations
 
 from time import perf_counter
-from typing import Any, List
+from typing import Any, List, Optional
 
 import numpy as np
 
 from ...errors import BandwidthExceededError
 from ..trace import TraceEvent
-from .base import Capabilities, EngineBackend
+from .base import CapabilityDiff, EngineBackend
 
 __all__ = ["FastBackend", "run_fast_round"]
 
@@ -325,21 +325,15 @@ class FastBackend(EngineBackend):
     """Vectorized per-node rounds; needs the schedule's CSR adjacency."""
 
     name = "fast"
-    priority = 20
-    auto_negotiate = True
-    capabilities = Capabilities(
-        loss=True,
-        trace=True,
-        stop_when=True,
-        strict_bandwidth=True,
-        mixed_population=True,
-        adaptive_schedule=True,
-        pre_halted=True,
-        mid_run_halt=True,
-        custom_metrics=True,
-        recorder=True,
-        adjacency_free=False,
-    )
+    summary = ("per-node rounds over the cached CSR adjacency "
+               "(needs a schedule with adjacency())")
+
+    def decline(self, sim: Any,
+                stop_when: Optional[Any] = None) -> Optional[CapabilityDiff]:
+        if "adjacency-free-schedule" in sim._features:
+            return CapabilityDiff(backend=self.name,
+                                  missing=("adjacency-free-schedule",))
+        return None
 
     def run_round(self, sim: Any) -> None:
         run_fast_round(sim)

@@ -6,8 +6,8 @@ against (``tests/test_fastpath_equivalence.py``): one Python-level
 draws, and decision draining written exactly as the paper's round model
 reads.  It supports every run feature — including schedules that expose
 only the minimal :class:`~repro.simnet.engine.ScheduleLike` duck type —
-and is therefore the guaranteed last candidate of every negotiation
-chain.
+and is therefore the last tier of the engine's chain; it never
+declines.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from typing import Any, List
 from ...errors import BandwidthExceededError
 from ..node import RoundContext
 from ..trace import TraceEvent
-from .base import Capabilities, EngineBackend
+from .base import EngineBackend
 
 __all__ = ["ReferenceBackend", "run_reference_round"]
 
@@ -127,24 +127,10 @@ def run_reference_round(sim: Any) -> None:
 
 
 class ReferenceBackend(EngineBackend):
-    """Per-node loops; supports everything, negotiated last."""
+    """Per-node loops; serves every run, so it is the last tier."""
 
     name = "reference"
-    priority = 10
-    auto_negotiate = True
-    capabilities = Capabilities(
-        loss=True,
-        trace=True,
-        stop_when=True,
-        strict_bandwidth=True,
-        mixed_population=True,
-        adaptive_schedule=True,
-        pre_halted=True,
-        mid_run_halt=True,
-        custom_metrics=True,
-        recorder=True,
-        adjacency_free=True,
-    )
+    summary = "per-node loops, the executable specification (serves every run)"
 
     def run_round(self, sim: Any) -> None:
         run_reference_round(sim)

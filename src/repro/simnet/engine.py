@@ -30,16 +30,16 @@ Stop conditions
 
 Engines
 -------
-Execution is delegated to pluggable **engine backends** (see
-:mod:`repro.simnet.backends`): each backend declares its capabilities as
-a frozen record, and the negotiator matches those declarations against
-the run's requirements — message loss, tracing, ``stop_when``
-predicates, strict bandwidth, schedule shape — producing the candidate
-chain plus a structured :class:`~repro.simnet.backends.base.CapabilityDiff`
-for every tier passed over (surfaced through ``engine_tier``
-observability events).  All backends produce **identical**
+Rounds execute on one of three in-tree **tiers** (see
+:mod:`repro.simnet.backends`), held as the fixed ordered tuple
+:data:`TIERS` — batch kernels, then the fast path, then the reference
+loops.  When :meth:`Simulator.run` starts it walks the tuple and
+engages the first tier that does not decline the run; every tier passed
+over leaves a structured
+:class:`~repro.simnet.backends.base.CapabilityDiff` (surfaced through
+``engine_tier`` observability events).  All tiers produce **identical**
 :class:`RunResult`\\ s (golden-equivalence tested across topologies ×
-algorithms × loss rates).  The built-in tiers:
+algorithms × loss rates):
 
 * **batch kernels** (overlay) — when every node is an instance of one
   algorithm class exposing the ``__batch_kernel__`` hook (see
@@ -47,24 +47,21 @@ algorithms × loss rates).  The built-in tiers:
   segment-reduces over the CSR adjacency, with decisions/halts/metrics
   reconciled from the arrays.  Message loss is handled natively via a
   vectorised per-edge Bernoulli delivery view; trace recorders, strict
-  bandwidth, ``stop_when`` predicates, and adaptive schedules negotiate
-  down to the next tier.
-* ``engine="fast"`` (default) — consumes the schedule's interval-aware
-  CSR adjacency (see :meth:`repro.dynamics.GraphSchedule.adjacency`),
-  tracks the non-halted *active set* incrementally so per-round work is
+  bandwidth, ``stop_when`` predicates, and adaptive schedules decline
+  the tier.  The first halt event retires it to the fast tier.
+* **fast** — consumes the schedule's interval-aware CSR adjacency (see
+  :meth:`repro.dynamics.GraphSchedule.adjacency`), tracks the
+  non-halted *active set* incrementally so per-round work is
   ``O(active)``, reuses one :class:`RoundContext` per node, and computes
   live degrees vectorised over the CSR.  Schedules that expose only the
-  minimal :class:`ScheduleLike` duck type (no ``adjacency``) fall back
-  to the reference engine transparently.  ``engine="fast-nobatch"``
-  selects this tier while disabling the batch-kernel overlay.
-* ``engine="reference"`` — the straightforward per-node loops, kept as
-  the executable specification the other tiers are tested against.
+  minimal :class:`ScheduleLike` duck type (no ``adjacency``) decline it.
+* **reference** — the straightforward per-node loops, kept as the
+  executable specification the other tiers are tested against; it
+  serves every run.
 
-Third-party backends registered with
-:func:`repro.simnet.backends.register_backend` are accepted by
-``Simulator(engine=<name>)`` (and the CLIs' ``--engine``) without any
-engine changes; the built-in non-overlay tiers remain as negotiated
-fallbacks for runs the named backend declines.
+The ``engine`` argument picks where the walk may go (:data:`ENGINES`):
+``"fast"`` (default) tries all three tiers, ``"fast-nobatch"`` skips the
+batch kernels, and ``"reference"`` pins the reference loops.
 
 Profiling
 ---------
@@ -101,25 +98,32 @@ from .._validate import require_choice, require_positive_int
 from ..errors import ConfigurationError, NotTerminatedError
 from ..obs import events as obs_events
 from ..obs.recorder import Recorder
-from .backends import available_engines, negotiate
-from .backends.base import CapabilityDiff, EngineBackend, missing_requirements
+from .backends import (BatchBackend, CapabilityDiff, EngineBackend,
+                       FastBackend, ReferenceBackend)
 from .message import bit_size
 from .metrics import MetricsCollector, RunMetrics
 from .node import Algorithm, RoundContext
 from .rng import RngRegistry
 from .trace import TraceRecorder
 
-__all__ = ["Simulator", "RunResult", "ScheduleLike",
-           "set_profile_default", "profile_default",
+__all__ = ["Simulator", "RunResult", "ScheduleLike", "TIERS", "ENGINES",
+           "ENGINE_TIERS", "set_profile_default", "profile_default",
            "set_engine_default", "engine_default"]
 
 #: Phase names of the per-round profiling breakdown, in execution order.
 PHASES = ("compose", "reveal", "deliver", "drain")
 
-#: Built-in engine dispatch tiers, in preference order.  Kept as the
-#: stable key set of per-run tier accounting; the authoritative list of
-#: selectable engines is :func:`repro.simnet.backends.available_engines`.
-ENGINE_TIERS = ("batch", "fast", "reference")
+#: The engine tiers, in the order a run tries them.  Batch is the only
+#: overlay: it runs on top of the fast tier and retires to it mid-run.
+TIERS: Tuple[EngineBackend, ...] = (
+    BatchBackend(), FastBackend(), ReferenceBackend())
+_BATCH, _FAST, _REFERENCE = TIERS
+
+#: Tier names, in order; the key set of per-run tier accounting.
+ENGINE_TIERS: Tuple[str, ...] = tuple(tier.name for tier in TIERS)
+
+#: Values ``Simulator(engine=...)`` and the CLIs' ``--engine`` accept.
+ENGINES: Tuple[str, ...] = ("fast", "fast-nobatch", "reference")
 
 _PROFILE_DEFAULT = os.environ.get("REPRO_PROFILE", "") not in ("", "0")
 
@@ -141,7 +145,7 @@ def set_engine_default(engine: str) -> None:
     to the value installed here.
     """
     global _ENGINE_DEFAULT
-    require_choice(engine, "engine", available_engines())
+    require_choice(engine, "engine", ENGINES)
     _ENGINE_DEFAULT = engine
     env = os.environ.get("REPRO_ENGINE", "")
     # Env-wins is a documented invariant; fail loudly if it regresses.
@@ -266,10 +270,6 @@ class Simulator:
         debugging, ``"fast-nobatch"`` is the fast path with batch-kernel
         dispatch disabled.  ``None`` (default) resolves to
         :func:`engine_default`.
-    batch_kernels:
-        Whether :meth:`run` may dispatch to an algorithm's batch kernel
-        (see :mod:`repro.simnet.batch`).  ``None`` (default) resolves to
-        on; ``engine="fast-nobatch"`` forces it off.
     profile:
         Collect per-phase wall-clock totals (see the module docstring).
         ``None`` (default) resolves to :func:`profile_default`.
@@ -291,7 +291,6 @@ class Simulator:
         loss_rate: float = 0.0,
         engine: Optional[str] = None,
         profile: Optional[bool] = None,
-        batch_kernels: Optional[bool] = None,
         recorder: Optional[Recorder] = None,
     ) -> None:
         if len(nodes) != schedule.num_nodes:
@@ -306,12 +305,7 @@ class Simulator:
             require_positive_int(bandwidth_bits, "bandwidth_bits")
         if engine is None:
             engine = engine_default()
-        require_choice(engine, "engine", available_engines())
-        if engine == "fast-nobatch":
-            engine = "fast"
-            batch_kernels = False
-        if batch_kernels is None:
-            batch_kernels = True
+        require_choice(engine, "engine", ENGINES)
         self.schedule = schedule
         self.nodes: List[Algorithm] = list(nodes)
         self.rng = rng if rng is not None else RngRegistry(0)
@@ -360,47 +354,32 @@ class Simulator:
         bind = getattr(schedule, "bind", None)
         if bind is not None:
             bind(self.nodes)
-        # Engine-backend negotiation (see repro.simnet.backends): the
-        # run's *static* requirements — knowable at construction time —
-        # are matched against every registered backend's capability
-        # declaration.  Each tier that cannot serve the run is declined
-        # with a structured CapabilityDiff (surfaced through
-        # EngineTierEvents when a recorder is attached); the survivors
-        # form the candidate chain run() engages in priority order.
-        # Dynamic, per-run() requirements — a stop_when predicate, a
-        # pre-halted population, a custom metrics override, the batch
-        # tier's population-kernel probe — are negotiated when run()
-        # starts.
-        self.batch_kernels = bool(batch_kernels)
-        requirements: Dict[str, str] = {}
-        if trace is not None:
-            requirements["trace"] = "trace recorder attached"
-        if self.loss_rate != 0.0:
-            requirements["loss"] = "loss_rate > 0"
-        if self.strict_bandwidth and bandwidth_bits is not None:
-            requirements["strict-bandwidth"] = "strict bandwidth budget"
-        if bind is not None:
-            requirements["adaptive-schedule"] = (
-                "adaptive schedule binds node state")
-        if getattr(schedule, "adjacency", None) is None:
-            requirements["adjacency-free-schedule"] = (
-                "schedule exposes no CSR adjacency")
-        if recorder is not None:
-            requirements["recorder"] = "event recorder attached"
-        self._requirements = requirements
-        self._negotiation = negotiate(engine, requirements,
-                                      batch_kernels=self.batch_kernels)
-        self._base_backend: EngineBackend = self._negotiation.base
-        self._active_backend: EngineBackend = self._base_backend
-        #: Name of the persistent (non-overlay) tier; overlay tiers such
-        #: as the batch kernels engage on top of it during run().
-        self.engine = self._base_backend.name
-        batch_declines = [d for d in self._negotiation.declined
-                          if d.backend == "batch"]
-        self._batch_enabled = any(
-            b.name == "batch" for b in self._negotiation.candidates)
-        self._batch_reason: Optional[str] = (
-            "; ".join(d.render() for d in batch_declines) or None)
+        # Static run features a tier may decline, as requirement names
+        # (the CapabilityDiff vocabulary) in engine_tier event order.
+        # Dynamic ones — a stop_when predicate, a pre-halted population,
+        # a custom metrics override, the batch kernel probe — are judged
+        # by the tiers' decline() when run() starts.
+        self._features: Tuple[str, ...] = tuple(name for name, posed in (
+            ("trace", trace is not None),
+            ("loss", self.loss_rate != 0.0),
+            ("strict-bandwidth",
+             self.strict_bandwidth and bandwidth_bits is not None),
+            ("adaptive-schedule", bind is not None),
+            ("adjacency-free-schedule",
+             getattr(schedule, "adjacency", None) is None),
+            ("recorder", recorder is not None),
+        ) if posed)
+        self._engine_request = engine
+        # The persistent tier follows from static features alone: the
+        # fast tier declines only on those, the reference tier never.
+        fast_ok = (self._pinned_decline(_FAST) is None
+                   and _FAST.decline(self) is None)
+        base = _FAST if fast_ok else _REFERENCE
+        self._base_backend: EngineBackend = base
+        self._active_backend: EngineBackend = base
+        #: Name of the persistent (non-overlay) tier; the batch kernels
+        #: engage on top of it during run().
+        self.engine = base.name
         self._batch_live = False
         self._batch_kernel: Optional[Any] = None
         self._batch_ctx: Optional[Any] = None
@@ -497,7 +476,7 @@ class Simulator:
             self._step_recorded(self.recorder)
 
     def _step_inner(self) -> None:
-        """One round via whichever negotiated backend is live."""
+        """One round via whichever tier is live."""
         backend = self._active_backend
         tiers = self._tier_rounds
         tiers[backend.name] = tiers.get(backend.name, 0) + 1
@@ -556,67 +535,44 @@ class Simulator:
                 rec.emit(obs_events.DecisionEvent(
                     round=r, node_id=node.node_id, action="halt"))
         if was_backend is not self._active_backend:
-            # An overlay tier retired mid-round (e.g. the batch kernel
-            # on the first halt event) back to the persistent backend.
-            reason = ("halt event deactivated the batch kernel"
-                      if was_backend.name == "batch"
-                      else f"halt event deactivated the "
-                           f"{was_backend.name} backend")
+            # The batch kernel retired mid-round on the first halt event.
+            reason = "halt event deactivated the batch kernel"
             diff = CapabilityDiff(backend=was_backend.name,
                                   missing=("mid-run-halt",), detail=reason)
             rec.emit(obs_events.EngineTierEvent(
                 round=r, tier=self._active_backend.name, action="fallback",
                 reason=reason, declined=[diff.to_payload()]))
 
-    # -- backend selection ----------------------------------------------------
+    # -- tier selection -------------------------------------------------------
+
+    def _pinned_decline(self, tier: EngineBackend) -> Optional[CapabilityDiff]:
+        """The decline the ``engine`` argument itself imposes on *tier*."""
+        engine = self._engine_request
+        if engine == "reference" and tier is not _REFERENCE:
+            return CapabilityDiff(backend=tier.name,
+                                  detail="engine='reference'")
+        if engine == "fast-nobatch" and tier is _BATCH:
+            return CapabilityDiff(backend=tier.name,
+                                  detail="batch kernels disabled")
+        return None
 
     def _select_backends(self, stop_when: Optional[Callable]
                          ) -> List[CapabilityDiff]:
-        """Finish negotiation with this run()'s dynamic requirements.
+        """Walk :data:`TIERS` and engage the first tier that serves the run.
 
-        The statically capable candidates are probed in priority order:
-        first against the generic dynamic requirements (a ``stop_when``
-        predicate inspecting run state, a population that already
-        contains halted nodes, an instance-level ``on_broadcast``
-        override), then through each backend's own :meth:`prepare` hook
-        (the batch tier builds its population kernel there).  The first
-        surviving overlay becomes the active backend on top of the first
-        surviving persistent tier; every decline is returned as a
-        structured diff for the ``engine_tier`` select event.
+        Returns every decline, in tier order, for the ``engine_tier``
+        select event.  The walk always ends on :attr:`engine`'s tier at
+        the latest: the fast tier declines only on static features,
+        which already decided :attr:`engine` at construction, and the
+        reference tier never declines.
         """
-        declined: List[CapabilityDiff] = list(self._negotiation.declined)
-        dynamic: Dict[str, str] = {}
-        if stop_when is not None:
-            dynamic["stop-when"] = "stop_when predicate inspects run state"
-        if self._any_halted:
-            dynamic["pre-halted"] = "population already contains halted nodes"
-        if "on_broadcast" in self.metrics.__dict__:
-            dynamic["custom-metrics"] = "custom on_broadcast metrics override"
-        active: Optional[EngineBackend] = None
-        base: Optional[EngineBackend] = None
-        for backend in self._negotiation.candidates:
-            missing = missing_requirements(backend.capabilities, dynamic)
-            diff = (CapabilityDiff(backend=backend.name, missing=missing)
-                    if missing else backend.prepare(self, stop_when))
-            if diff is not None:
-                declined.append(diff)
-                if backend.overlay:
-                    # Compatibility mirror of the historical attribute.
-                    self._batch_reason = diff.render()
-                continue
-            if active is None:
-                active = backend
-            if not backend.overlay:
-                base = backend
+        declined: List[CapabilityDiff] = []
+        for tier in TIERS:
+            diff = self._pinned_decline(tier) or tier.decline(self, stop_when)
+            if diff is None:
+                self._active_backend = tier
                 break
-        if base is None:
-            posed = "; ".join(d.render() for d in declined) or "no reason"
-            raise ConfigurationError(
-                f"engine {self._negotiation.engine!r}: every negotiated "
-                f"backend declined this run ({posed})")
-        self._base_backend = base
-        self._active_backend = active if active is not None else base
-        self.engine = base.name
+            declined.append(diff)
         return declined
 
     # -- stop-condition helpers ----------------------------------------------
@@ -657,12 +613,10 @@ class Simulator:
         rec = self.recorder
         if rec is not None:
             chosen = self._active_backend
-            if chosen.overlay:
-                reason = ("population batch kernel engaged"
-                          if chosen.name == "batch"
-                          else f"{chosen.name} backend engaged")
+            if chosen is _BATCH:
+                reason = "population batch kernel engaged"
             else:
-                # Order-preserving dedup: pinned aliases decline several
+                # Order-preserving dedup: engine="reference" declines two
                 # tiers with the same clause.
                 clauses: List[str] = []
                 for diff in declined:
@@ -697,7 +651,7 @@ class Simulator:
             # Whatever happens, node objects must reflect the backend's
             # state before anyone (including the error path below, or a
             # later run() call) inspects them.  reconcile() is idempotent;
-            # an overlay that retired mid-run already reconciled itself.
+            # a batch kernel that retired mid-run already reconciled itself.
             self._active_backend.reconcile(self)
 
         if rec is not None:

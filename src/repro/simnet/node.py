@@ -86,7 +86,7 @@ class Algorithm:
     #: should override.
     name: str = "algorithm"
 
-    #: Optional batch-kernel hook (see :mod:`repro.simnet.batch`): a
+    #: Optional batch-kernel hook (see :mod:`repro.simnet.backends.batch`): a
     #: classmethod ``__batch_kernel__(cls, nodes, id_bits=32)`` returning
     #: a ``BatchKernel`` driving the whole homogeneous population with
     #: array operations, or ``None`` to decline (the engine then runs the

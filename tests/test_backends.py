@@ -1,24 +1,19 @@
-"""The pluggable backend registry and capability negotiation.
+"""The fixed engine-tier chain and its structured declines.
 
-Covers the three layers the backends package introduced:
+Covers:
 
 1. The **fallback matrix**: run features (message loss, tracing, a
    ``stop_when`` predicate, a heterogeneous population, a strict
-   CONGEST budget) × engine requests, asserting which tier the
-   negotiator engages, that every passed-over tier leaves a structured
-   :class:`~repro.simnet.backends.base.CapabilityDiff` in the
-   ``engine_tier`` select event, and that the recorded run is
-   bit-identical to the unrecorded one.
+   CONGEST budget) × engine requests, asserting which tier the walk
+   engages, the exact ``engine_tier`` select event (reason and the
+   ordered :class:`~repro.simnet.backends.base.CapabilityDiff`
+   payloads), and that the recorded run is bit-identical to the
+   unrecorded one.
 
-2. **Third-party registration**: a toy backend plugs in through
-   :func:`repro.simnet.backends.register_backend`, executes rounds when
-   eligible, and shows up as a structured decline in the observability
-   stream when a run poses a requirement it cannot serve.
-
-3. **Process defaults**: the ``REPRO_ENGINE`` environment variable
+2. **Process defaults**: the ``REPRO_ENGINE`` environment variable
    always wins over :func:`repro.simnet.engine.set_engine_default`.
 
-4. **Telemetry-column normalization**: recorded rows carry ``obs.*`` /
+3. **Telemetry-column normalization**: recorded rows carry ``obs.*`` /
    ``cache.*`` counters, and the executor's journal + result cache
    strip them so cache hits and fresh runs compare equal.
 """
@@ -34,15 +29,7 @@ from repro.harness.runner import durable_row, run_trial
 from repro.obs import Recorder
 from repro.obs.recorder import set_events_dir
 from repro.simnet import RngRegistry, Simulator, TraceRecorder
-from repro.simnet.backends import (
-    Capabilities,
-    EngineBackend,
-    available_engines,
-    negotiate,
-    register_backend,
-    unregister_backend,
-)
-from repro.simnet.backends.reference import run_reference_round
+from repro.simnet.backends import CapabilityDiff
 from repro.simnet.engine import engine_default, set_engine_default
 
 ENGINES = ("fast", "fast-nobatch", "reference")
@@ -51,17 +38,6 @@ ENGINES = ("fast", "fast-nobatch", "reference")
 #: engine request below.
 SCENARIOS = ("plain", "loss", "trace", "stop_when", "mixed",
              "strict_bandwidth")
-
-#: Requirement name the batch tier must cite when the scenario
-#: disqualifies it (None = the batch tier stays eligible).
-_BATCH_MISSING = {
-    "plain": None,
-    "loss": None,  # the batch tier executes lossy runs natively now
-    "trace": "trace",
-    "stop_when": "stop-when",
-    "mixed": "mixed-population",
-    "strict_bandwidth": "strict-bandwidth",
-}
 
 
 def _handoff(seed):
@@ -96,12 +72,40 @@ def _run_scenario(scenario, engine, seed=7, recorder=None):
     return sim, result
 
 
-def _expected_tier(scenario, engine):
-    if engine == "reference":
-        return "reference"
-    if engine == "fast-nobatch":
-        return "fast"
-    return "batch" if _BATCH_MISSING[scenario] is None else "fast"
+_PIN_REFERENCE = [
+    {"backend": "batch", "missing": [], "detail": "engine='reference'"},
+    {"backend": "fast", "missing": [], "detail": "engine='reference'"},
+]
+_NO_BATCH = [
+    {"backend": "batch", "missing": [], "detail": "batch kernels disabled"},
+]
+
+
+def _batch_declined(missing, detail=""):
+    return [{"backend": "batch", "missing": [missing], "detail": detail}]
+
+
+_MIXED = "heterogeneous population (ExactCountKnownBound + ExactCount)"
+
+#: (scenario, engine) -> the select event's (tier, reason, declined),
+#: verbatim.  The declined payloads are the full ordered list.
+_SELECT = {
+    ("plain", "fast"): ("batch", "population batch kernel engaged", None),
+    ("loss", "fast"): ("batch", "population batch kernel engaged", None),
+    ("trace", "fast"): ("fast", "trace recorder attached",
+                        _batch_declined("trace")),
+    ("stop_when", "fast"): ("fast", "stop_when predicate inspects run state",
+                            _batch_declined("stop-when")),
+    ("mixed", "fast"): ("fast", _MIXED,
+                        _batch_declined("mixed-population", _MIXED)),
+    ("strict_bandwidth", "fast"): ("fast", "strict bandwidth budget",
+                                   _batch_declined("strict-bandwidth")),
+}
+for _scenario in SCENARIOS:
+    _SELECT[(_scenario, "fast-nobatch")] = (
+        "fast", "batch kernels disabled", _NO_BATCH)
+    _SELECT[(_scenario, "reference")] = (
+        "reference", "engine='reference'", _PIN_REFERENCE)
 
 
 @pytest.mark.parametrize("engine", ENGINES)
@@ -109,36 +113,29 @@ def _expected_tier(scenario, engine):
 def test_fallback_matrix(scenario, engine):
     recorder = Recorder.in_memory()
     sim, recorded = _run_scenario(scenario, engine, recorder=recorder)
+    tier, reason, declined = _SELECT[(scenario, engine)]
 
-    # 1. The negotiated tier executed every round; the others none.
-    expected = _expected_tier(scenario, engine)
-    assert sim._tier_rounds[expected] == recorded.rounds
-    for tier in ("batch", "fast", "reference"):
-        if tier != expected:
-            assert sim._tier_rounds[tier] == 0, (
-                f"{scenario}/{engine}: unexpected {tier} rounds")
+    # 1. The selected tier executed every round; the others none.
+    assert sim._tier_rounds[tier] == recorded.rounds
+    for other in ("batch", "fast", "reference"):
+        if other != tier:
+            assert sim._tier_rounds[other] == 0, (
+                f"{scenario}/{engine}: unexpected {other} rounds")
 
-    # 2. Exactly one select event, naming the tier and carrying one
-    #    structured diff per declined backend.
-    selects = [e for e in recorder.of_kind("engine_tier")
-               if e.action == "select"]
-    (select,) = selects
-    assert select.tier == expected
-    if engine == "reference":
-        declined = {p["backend"]: p for p in select.declined}
-        assert declined["batch"]["detail"] == "engine='reference'"
-        assert declined["fast"]["detail"] == "engine='reference'"
-    elif engine == "fast-nobatch":
-        declined = {p["backend"]: p for p in select.declined}
-        assert declined["batch"]["detail"] == "batch kernels disabled"
-    elif _BATCH_MISSING[scenario] is None:
-        assert select.declined is None
-        assert select.reason == "population batch kernel engaged"
-    else:
-        declined = {p["backend"]: p for p in select.declined}
-        assert _BATCH_MISSING[scenario] in declined["batch"]["missing"]
-        # The rendered reason and the structured diff agree.
-        assert sim._batch_reason in select.reason
+    # 2. Exactly one engine_tier event, the select, carrying the full
+    #    ordered list of structured declines.
+    (select,) = recorder.of_kind("engine_tier")
+    assert select.action == "select"
+    assert select.round == 0
+    assert select.tier == tier
+    assert select.reason == reason
+    assert select.declined == declined
+    # The rendered reason and the structured diffs agree.
+    for payload in declined or ():
+        diff = CapabilityDiff(backend=payload["backend"],
+                              missing=tuple(payload["missing"]),
+                              detail=payload["detail"])
+        assert diff.render() in select.reason
 
     # 3. Recording never changes the measured results.
     _, plain = _run_scenario(scenario, engine)
@@ -150,7 +147,7 @@ def test_fallback_matrix(scenario, engine):
 
 @pytest.mark.parametrize("scenario", ["plain", "loss", "stop_when"])
 def test_tiers_agree_across_fallback_matrix(scenario):
-    """Whatever tier the negotiator picks, results are bit-identical."""
+    """Whatever tier the walk engages, results are bit-identical."""
     results = {engine: _run_scenario(scenario, engine)[1]
                for engine in ENGINES}
     ref = results["reference"]
@@ -158,106 +155,6 @@ def test_tiers_agree_across_fallback_matrix(scenario):
         assert results[engine].outputs == ref.outputs
         assert results[engine].rounds == ref.rounds
         assert results[engine].metrics == ref.metrics
-
-
-def test_pinning_the_batch_backend_by_name():
-    """``engine="batch"`` pins the overlay; the persistent chain backs
-    it so the run still has a base tier."""
-    sim, result = _run_scenario("plain", "batch")
-    assert sim.engine == "fast"  # the persistent tier under the overlay
-    assert sim._tier_rounds["batch"] == result.rounds
-
-
-# --------------------------------------------------------------------------
-# third-party registration
-# --------------------------------------------------------------------------
-
-class _ToyBackend(EngineBackend):
-    """Reference-loop clone that counts its rounds; supports nothing
-    beyond a bare run (every capability flag stays False)."""
-
-    name = "toy-loops"
-    priority = 45
-    capabilities = Capabilities()
-    auto_negotiate = False
-    overlay = False
-
-    def __init__(self):
-        self.rounds = 0
-
-    def run_round(self, sim):
-        self.rounds += 1
-        run_reference_round(sim)
-
-
-def test_register_backend_toy_demo():
-    toy = register_backend(_ToyBackend())
-    try:
-        assert "toy-loops" in available_engines()
-
-        # Eligible: pinned by name with no posed requirements, the toy
-        # executes every round — and matches the reference loops.
-        schedule = _handoff(3)
-        sim = Simulator(schedule, _nodes(schedule), rng=RngRegistry(3),
-                        engine="toy-loops")
-        result = sim.run(max_rounds=600, until="quiescent",
-                         quiescence_window=16, allow_timeout=True)
-        assert sim.engine == "toy-loops"
-        assert sim._tier_rounds["toy-loops"] == result.rounds
-        assert toy.rounds == result.rounds
-        ref_sim, ref = _run_scenario("plain", "reference", seed=3)
-        assert result.outputs == ref.outputs
-        assert result.rounds == ref.rounds
-        assert result.metrics == ref.metrics
-
-        # Ineligible: a recorder poses a requirement the toy does not
-        # declare, so the negotiator declines it with a structured diff
-        # and falls through to the persistent chain.
-        recorder = Recorder.in_memory()
-        schedule = _handoff(3)
-        sim = Simulator(schedule, _nodes(schedule), rng=RngRegistry(3),
-                        engine="toy-loops", recorder=recorder)
-        sim.run(max_rounds=600, until="quiescent", quiescence_window=16,
-                allow_timeout=True)
-        assert sim.engine == "fast"
-        (select,) = [e for e in recorder.of_kind("engine_tier")
-                     if e.action == "select"]
-        toy_declines = [p for p in select.declined
-                        if p["backend"] == "toy-loops"]
-        assert toy_declines and "recorder" in toy_declines[0]["missing"]
-    finally:
-        unregister_backend("toy-loops")
-    assert "toy-loops" not in available_engines()
-
-
-def test_register_backend_rejects_duplicates_and_reserved_names():
-    toy = _ToyBackend()
-    register_backend(toy)
-    try:
-        with pytest.raises(ConfigurationError):
-            register_backend(_ToyBackend())
-        register_backend(_ToyBackend(), replace=True)  # explicit override
-    finally:
-        unregister_backend("toy-loops")
-
-    class Reserved(_ToyBackend):
-        name = "fast-nobatch"
-
-    with pytest.raises(ConfigurationError):
-        register_backend(Reserved())
-
-    class Nameless(_ToyBackend):
-        name = ""
-
-    with pytest.raises(ConfigurationError):
-        register_backend(Nameless())
-
-
-def test_negotiation_fails_closed_on_unknown_requirement():
-    """Unknown requirement names are conservatively unsupported — if no
-    backend can serve the run, negotiation raises instead of guessing."""
-    with pytest.raises(ConfigurationError):
-        negotiate("fast", {"antigravity": "hover the population"})
 
 
 # --------------------------------------------------------------------------

@@ -1,4 +1,5 @@
-"""Property tests for the batch-kernel tier (:mod:`repro.simnet.batch`).
+"""Property tests for the batch-kernel tier
+(:mod:`repro.simnet.backends.batch`).
 
 Three layers of evidence, in increasing integration order:
 
@@ -32,7 +33,7 @@ from repro.core.max_compute import MaxKnownBound, SublinearMax
 from repro.core.termination import QuiescenceController
 from repro.dynamics import ExplicitSchedule
 from repro.simnet import RngRegistry, Simulator
-from repro.simnet.batch import (
+from repro.simnet.backends.batch import (
     BatchQuiescence,
     build_batch_kernel,
     int_payload_bits,

@@ -128,3 +128,48 @@ class TestCli:
         out = capsys.readouterr().out
         assert "F4" in out
         assert os.path.exists(tmp_path / "f4" / "rows.csv")
+
+    def test_timing_and_profile_lines_are_per_experiment(self, monkeypatch,
+                                                         capsys):
+        """T1 runs before the loop that prints timings, and the profile
+        accumulators are process-wide: the CLI must still report each
+        experiment's own wall time and profile figures."""
+        from types import SimpleNamespace
+
+        from repro.harness import cli, runner
+        from repro.simnet import engine as engine_mod
+
+        clock = [100.0]
+        monkeypatch.setattr(cli, "time",
+                            SimpleNamespace(perf_counter=lambda: clock[0]))
+        monkeypatch.setattr(engine_mod, "_PROFILE_DEFAULT", False)
+
+        def fake(seconds, phases, tiers):
+            def run(*args, **kwargs):
+                clock[0] += seconds
+                runner.record_phase_seconds(phases)
+                runner.record_engine_stats(tiers)
+                return SimpleNamespace(render=lambda: "table")
+            return run
+
+        monkeypatch.setattr(cli, "run_t1", fake(
+            4.5, {"compose": 3.0, "deliver": 1.0}, {"fast": 40}))
+        monkeypatch.setattr(cli, "run_experiment", fake(
+            2.0, {"compose": 0.5, "deliver": 0.5}, {"batch": 7}))
+        runner.reset_phase_totals()
+        runner.reset_engine_totals()
+        try:
+            assert cli_main(["t1", "f4", "--profile"]) == 0
+        finally:
+            runner.reset_phase_totals()
+            runner.reset_engine_totals()
+        out = capsys.readouterr().out
+        assert "[t1 finished in 4.5s]" in out
+        assert "[f4 finished in 2.0s]" in out
+        t1_part, f4_part = out.split("[f4 finished")
+        assert ("[profile] 1 trials: compose 3.000s (75%), "
+                "deliver 1.000s (25%)") in t1_part
+        assert "[profile] engine rounds by tier: fast 40" in t1_part
+        assert ("[profile] 1 trials: compose 0.500s (50%), "
+                "deliver 0.500s (50%)") in f4_part
+        assert "[profile] engine rounds by tier: batch 7" in f4_part
