@@ -14,10 +14,9 @@ instrumented wrapper that emits :class:`~repro.obs.events.RoundEvent` /
 :class:`~repro.obs.events.DecisionEvent` streams,
 :class:`~repro.obs.events.EngineTierEvent` dispatch decisions with their
 reasons, and end-of-run :class:`~repro.obs.events.CacheEvent` counters.
-Recording disables the engine's fused round loop (phase boundaries
-become observable, same rule as profiling), so recorded runs trade some
-throughput for the stream — results stay bit-identical, only wall-clock
-changes.
+Recorded rounds run the same tier loops as unrecorded ones; the events
+are derived from per-round metric and decision-state deltas, so the
+cost of recording is the emission itself — results stay bit-identical.
 """
 
 from __future__ import annotations

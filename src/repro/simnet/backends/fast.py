@@ -5,8 +5,11 @@ metrics, same trace event stream, same RNG consumption, same node
 callback order); the differences are purely mechanical — iteration over
 the incrementally-maintained active set instead of ``range(n)``, one
 reusable :class:`~repro.simnet.node.RoundContext` per node, CSR
-adjacency shared across stable T-interval windows, and live degrees
-computed vectorised.  Requires a schedule exposing ``adjacency()``;
+adjacency shared across stable T-interval windows, live degrees
+computed vectorised, and reveal, delivery and drain fused into one pass
+over the active set (:func:`run_fast_round`, the tier's only round
+loop; profiling, tracing, recording and strict bandwidth hook into it
+rather than replacing it).  Requires a schedule exposing ``adjacency()``;
 minimal :class:`~repro.simnet.engine.ScheduleLike` schedules are
 declined to the reference backend instead.
 """
@@ -19,6 +22,7 @@ from typing import Any, List, Optional
 import numpy as np
 
 from ...errors import BandwidthExceededError
+from ..message import bit_size
 from ..trace import TraceEvent
 from .base import CapabilityDiff, EngineBackend
 
@@ -26,11 +30,26 @@ __all__ = ["FastBackend", "run_fast_round"]
 
 
 def run_fast_round(sim: Any) -> None:
-    """One round via the vectorized fast path.
+    """One round: compose, then reveal, deliver and drain in one pass.
 
-    Body moved verbatim from the engine's historical
-    ``Simulator._step_fast``; see the module docstring for the
-    equivalence contract.
+    After the compose loop and the round's CSR adjacency, a single pass
+    over the active set accounts each sender's broadcast, delivers its
+    inbox to each live node and drains that node's decision events.  The
+    result equals the reference tier's phase-by-phase loops: the
+    per-(node, round) metric updates are commutative sums, the loss RNG
+    is drawn in delivery order only, and per-node drain order is kept.
+
+    Phase boundaries show only where a feature needs them:
+
+    * profiling times ``compose`` | ``reveal`` (``adjacency(r)`` and the
+      live degrees) | ``deliver`` (the pass, broadcast accounting
+      included) at round boundaries, and ``drain`` around each non-empty
+      decision-event list, subtracted from ``deliver``;
+    * strict bandwidth and tracing add one pre-pass over the senders
+      (:func:`_check_broadcasts`), so a budget violation raises before
+      any ``deliver()`` and every broadcast trace event precedes the
+      round's decide/retract/halt events — the reference tier's trace
+      order.
     """
     sim.round_index += 1
     r = sim.round_index
@@ -46,7 +65,7 @@ def run_fast_round(sim: Any) -> None:
     contexts = sim._contexts
     halted_mask = sim._halted_mask
 
-    # Phase 1: compose (graph not yet revealed to nodes).
+    # Compose (graph not yet revealed to nodes).
     t0 = perf_counter() if prof is not None else 0.0
     senders: List[int] = []
     halted_in_compose = False
@@ -64,21 +83,9 @@ def run_fast_round(sim: Any) -> None:
     if halted_in_compose:
         sim._any_halted = True
 
-    # Phase 2: reveal the round's graph and account for transmissions.
-    if prof is not None:
-        t1 = perf_counter()
-        prof["compose"] += t1 - t0
-        t0 = t1
+    # Reveal the round's graph and the senders' live degrees.
+    t1 = perf_counter() if prof is not None else 0.0
     csr = sim.schedule.adjacency(r)
-    if (prof is None and trace is None and sim.recorder is None
-            and not (sim.strict_bandwidth
-                     and sim.bandwidth_bits is not None)):
-        # Steady-state fused loop: phases 2-4 in one pass (see
-        # _finish_round_fused for why the results are identical).
-        # A recorder routes through the split phases like profiling
-        # does, so its payload-bits cache tally sees every lookup.
-        _finish_round_fused(sim, r, csr, senders, halted_in_compose)
-        return
     if not sim._any_halted:
         live: List[int] = csr.degree_list()
     else:
@@ -88,133 +95,14 @@ def run_fast_round(sim: Any) -> None:
         cum = np.zeros(len(csr.indices) + 1, dtype=np.int64)
         np.cumsum(alive[csr.indices], out=cum[1:])
         live = (cum[csr.indptr[1:]] - cum[csr.indptr[:-1]]).tolist()
+    t2 = perf_counter() if prof is not None else 0.0
+
     bandwidth_bits = sim.bandwidth_bits
-    on_broadcast = metrics.on_broadcast
-    for i in senders:
-        payload = payloads[i]
-        bits = sim._payload_bits(payload)
-        if bandwidth_bits is not None and bits > bandwidth_bits:
-            if sim.strict_bandwidth:
-                raise BandwidthExceededError(
-                    f"node {nodes[i].node_id} composed a {bits}-bit "
-                    f"message; budget is {bandwidth_bits} bits",
-                    node_id=nodes[i].node_id, bits=bits,
-                    limit=bandwidth_bits,
-                )
-            metrics.incr("bandwidth_overflows")
-        on_broadcast(bits, live[i])
-        if trace is not None:
-            trace.record(TraceEvent(r, "broadcast", nodes[i].node_id, payload))
+    strict = sim.strict_bandwidth and bandwidth_bits is not None
+    if strict or trace is not None:
+        _check_broadcasts(sim, r, senders, strict)
 
-    # Phase 3: deliver inboxes.
-    if prof is not None:
-        t1 = perf_counter()
-        prof["reveal"] += t1 - t0
-        t0 = t1
-    sendable = sim._sendable
-    for i in senders:
-        if not halted_mask[i]:
-            sendable[i] = True
-    # When every node is live and broadcast, skip the per-neighbour
-    # sendability filter entirely (the common steady state).
-    all_send = not sim._any_halted and len(senders) == len(active)
-    nlists = csr.neighbor_lists()
-    loss_rng = sim._loss_rng
-    loss_rate = sim.loss_rate
-    all_changed_false = True
-    delivered: List[int] = []
-    for j in active:
-        if halted_mask[j]:
-            continue  # halted during this round's compose
-        nbrs = nlists[j]
-        if all_send:
-            inbox = [payloads[k] for k in nbrs]
-        else:
-            inbox = [payloads[k] for k in nbrs if sendable[k]]
-        if loss_rng is not None and inbox:
-            kept = loss_rng.random(len(inbox)) >= loss_rate
-            dropped = len(inbox) - int(kept.sum())
-            if dropped:
-                metrics.incr("messages_lost", dropped)
-                inbox = [m for m, keep in zip(inbox, kept) if keep]
-        node = nodes[j]
-        node.deliver(contexts[j], inbox)
-        if node._state_changed:
-            all_changed_false = False
-        delivered.append(j)
-    for i in senders:
-        sendable[i] = False
-
-    # Phase 4: drain decision events.  Deliveries record no trace
-    # events themselves, so draining after the delivery loop yields
-    # the same event stream as the reference's interleaved drain.
-    if prof is not None:
-        t1 = perf_counter()
-        prof["deliver"] += t1 - t0
-        t0 = t1
-    on_decision = metrics.on_decision
-    halted_in_deliver = False
-    for j in delivered:
-        node = nodes[j]
-        events = node._events
-        if not events:
-            continue
-        node._events = []
-        node_id = node.node_id
-        for event in events:
-            kind = event[0]
-            if kind == "decide":
-                on_decision(node_id, r)
-                if trace is not None:
-                    trace.record(TraceEvent(r, "decide", node_id, event[1]))
-            elif kind == "retract":
-                metrics.on_retraction(node_id)
-                if trace is not None:
-                    trace.record(TraceEvent(r, "retract", node_id))
-            elif kind == "halt":
-                halted_mask[j] = True
-                halted_in_deliver = True
-                if trace is not None:
-                    trace.record(TraceEvent(r, "halt", node_id))
-    if prof is not None:
-        prof["drain"] += perf_counter() - t0
-
-    if halted_in_compose or halted_in_deliver:
-        sim._any_halted = True
-        sim._active = [i for i in active if not halted_mask[i]]
-
-    sim._quiescent_streak = (
-        sim._quiescent_streak + 1 if all_changed_false else 0
-    )
-    metrics.on_round_executed()
-
-
-def _finish_round_fused(sim: Any, r: int, csr: Any, senders: List[int],
-                        halted_in_compose: bool) -> None:
-    """Phases 2-4 of :func:`run_fast_round` fused into one active-set pass.
-
-    Valid only without tracing, profiling, or strict bandwidth: the
-    per-(node, round) metric updates are commutative sums, the loss
-    RNG is drawn only in the delivery phase (so interleaving the
-    accounting does not perturb the stream), and per-node drain order
-    is preserved — hence the final :class:`~repro.simnet.metrics.RunMetrics`
-    are identical to the split-phase loops, which remain in use whenever
-    phase boundaries are observable (trace events, per-phase timings, or
-    a mid-phase :class:`~repro.errors.BandwidthExceededError`).
-    """
-    nodes = sim.nodes
-    metrics = sim.metrics
-    payloads = sim._payloads
-    contexts = sim._contexts
-    halted_mask = sim._halted_mask
-    active = sim._active
-    if not sim._any_halted:
-        live: List[int] = csr.degree_list()
-    else:
-        alive = ~halted_mask
-        cum = np.zeros(len(csr.indices) + 1, dtype=np.int64)
-        np.cumsum(alive[csr.indices], out=cum[1:])
-        live = (cum[csr.indptr[1:]] - cum[csr.indptr[:-1]]).tolist()
+    # Deliver: account, deliver and drain per active node.
     sendable = sim._sendable
     all_send = not sim._any_halted and len(senders) == len(active)
     if all_send:
@@ -232,7 +120,6 @@ def _finish_round_fused(sim: Any, r: int, csr: Any, senders: List[int],
         nlists = csr.neighbor_lists()
     loss_rng = sim._loss_rng
     loss_rate = sim.loss_rate
-    bandwidth_bits = sim.bandwidth_bits
     # When on_broadcast has not been overridden on the instance, the
     # per-sender sums are accumulated in locals and flushed once per
     # round — same totals, ~N fewer calls per round.
@@ -244,6 +131,7 @@ def _finish_round_fused(sim: Any, r: int, csr: Any, senders: List[int],
     prev_payload = prev_bits = None
     all_changed_false = True
     halted_in_deliver = False
+    drain_s = 0.0
     for j in active:
         payload = payloads[j]
         if payload is not None:
@@ -289,17 +177,27 @@ def _finish_round_fused(sim: Any, r: int, csr: Any, senders: List[int],
             all_changed_false = False
         events = node._events
         if events:
+            td = perf_counter() if prof is not None else 0.0
             node._events = []
             node_id = node.node_id
             for event in events:
                 kind = event[0]
                 if kind == "decide":
                     on_decision(node_id, r)
+                    if trace is not None:
+                        trace.record(TraceEvent(r, "decide", node_id,
+                                                event[1]))
                 elif kind == "retract":
                     metrics.on_retraction(node_id)
+                    if trace is not None:
+                        trace.record(TraceEvent(r, "retract", node_id))
                 else:  # halt
                     halted_mask[j] = True
                     halted_in_deliver = True
+                    if trace is not None:
+                        trace.record(TraceEvent(r, "halt", node_id))
+            if prof is not None:
+                drain_s += perf_counter() - td
     if not all_send:
         for i in senders:
             sendable[i] = False
@@ -319,6 +217,45 @@ def _finish_round_fused(sim: Any, r: int, csr: Any, senders: List[int],
         sim._quiescent_streak + 1 if all_changed_false else 0
     )
     metrics.on_round_executed()
+    if prof is not None:
+        prof["compose"] += t1 - t0
+        prof["reveal"] += t2 - t1
+        prof["deliver"] += perf_counter() - t2 - drain_s
+        prof["drain"] += drain_s
+
+
+def _check_broadcasts(sim: Any, r: int, senders: List[int],
+                      strict: bool) -> None:
+    """Strict budget check and broadcast trace events, before delivery.
+
+    Walks the senders in index order, as the reference tier's reveal
+    loop does: a violating sender raises
+    :class:`~repro.errors.BandwidthExceededError` after the broadcast
+    events of the senders before it.  Payloads are costed without
+    touching the bits cache, so the pass's lookups, and the recorder's
+    miss tally, follow the reference tier's sequence exactly.
+    """
+    nodes = sim.nodes
+    payloads = sim._payloads
+    trace = sim.trace
+    bits_cache = sim._bits_cache
+    limit = sim.bandwidth_bits
+    for i in senders:
+        payload = payloads[i]
+        if strict:
+            entry = bits_cache.get(id(payload))
+            if entry is not None and entry[0] is payload:
+                bits = entry[1]
+            else:
+                bits = bit_size(payload, sim.id_bits)
+            if bits > limit:
+                raise BandwidthExceededError(
+                    f"node {nodes[i].node_id} composed a {bits}-bit "
+                    f"message; budget is {limit} bits",
+                    node_id=nodes[i].node_id, bits=bits, limit=limit,
+                )
+        if trace is not None:
+            trace.record(TraceEvent(r, "broadcast", nodes[i].node_id, payload))
 
 
 class FastBackend(EngineBackend):

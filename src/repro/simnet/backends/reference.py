@@ -26,9 +26,7 @@ __all__ = ["ReferenceBackend", "run_reference_round"]
 def run_reference_round(sim: Any) -> None:
     """One round via the per-node loops (the executable spec).
 
-    Body moved verbatim from the engine's historical
-    ``Simulator._step_reference``; behaviour is the contract, see the
-    module docstring.
+    Behaviour is the contract; see the module docstring.
     """
     sim.round_index += 1
     r = sim.round_index

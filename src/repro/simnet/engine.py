@@ -70,7 +70,10 @@ Pass ``profile=True`` (or set the module default via
 variable, which is what the harness CLI's ``--profile`` flag does) to
 collect monotonic per-phase wall-clock totals — ``compose``, ``reveal``,
 ``deliver``, ``drain`` — surfaced as
-:attr:`~repro.simnet.metrics.RunMetrics.phase_seconds`.
+:attr:`~repro.simnet.metrics.RunMetrics.phase_seconds`.  Profiled runs
+execute the same round loops as unprofiled ones; the fast tier reads
+the clock at its phase boundaries (see
+:func:`repro.simnet.backends.fast.run_fast_round`).
 
 Observability
 -------------
@@ -78,10 +81,10 @@ Pass ``recorder=`` a :class:`repro.obs.Recorder` to stream structured
 events (per-round broadcast/delivery totals, decision lifecycles,
 engine-tier dispatch decisions with reasons, cache hit/miss counters).
 The hook is zero-overhead when absent — one ``is None`` check per round,
-no event objects allocated; when present, rounds route through
-:meth:`Simulator._step_recorded` and the fused loop is disabled (the
-same observable-phase-boundary rule as profiling).  See
-``docs/OBSERVABILITY.md``.
+no event objects allocated; when present, each round runs on the same
+tier loop as an unrecorded one, wrapped by
+:meth:`Simulator._step_recorded`, which derives the events from the
+round's metric and decision-state deltas.  See ``docs/OBSERVABILITY.md``.
 """
 
 from __future__ import annotations
@@ -332,6 +335,10 @@ class Simulator:
         # survive cache pressure.
         self._bits_cache: Dict[int, Tuple[Any, int]] = {}
         self._bits_cache_cap = max(64, 4 * n)
+        # Cache misses, and the hits of recorded rounds (their lookups,
+        # one per per-node-tier broadcast, less their misses).
+        self._bits_misses = 0
+        self._bits_hits = 0
         if profile is None:
             profile = _PROFILE_DEFAULT
         self.profile = bool(profile)
@@ -391,7 +398,6 @@ class Simulator:
         # allocated only when a recorder is attached, so the unrecorded
         # hot path pays one `is None` check per round and nothing else.
         self.recorder = recorder
-        self._bits_stats: Optional[Dict[str, int]] = None
         self._adj_stats_base: Optional[Dict[str, int]] = None
         self._rec_halted: Optional[set] = None
         self._rec_nodes_by_id: Optional[Dict[int, Algorithm]] = None
@@ -402,23 +408,6 @@ class Simulator:
             adj_stats = getattr(schedule, "adjacency_stats", None)
             if adj_stats is not None:
                 self._adj_stats_base = dict(adj_stats)
-            # Count payload-bits cache hits/misses by shadowing the bound
-            # method with a tallying wrapper (instance attribute wins), so
-            # the uncounted method body stays on the unrecorded hot path.
-            self._bits_stats = {"hits": 0, "misses": 0}
-            inner = self._payload_bits
-            bits_cache = self._bits_cache
-            bits_stats = self._bits_stats
-
-            def _counted_payload_bits(payload: Any) -> int:
-                entry = bits_cache.get(id(payload))
-                if entry is not None and entry[0] is payload:
-                    bits_stats["hits"] += 1
-                else:
-                    bits_stats["misses"] += 1
-                return inner(payload)
-
-            self._payload_bits = _counted_payload_bits  # type: ignore[method-assign]
 
     def cache_stats(self) -> Optional[Dict[str, int]]:
         """Per-cache hit/miss counters of this run (recorded runs only).
@@ -440,9 +429,8 @@ class Simulator:
             stats["adjacency_hits"] = (delta.get("span_hits", 0)
                                        + delta.get("fingerprint_hits", 0))
             stats["adjacency_misses"] = delta.get("builds", 0)
-        if self._bits_stats is not None:
-            stats["payload_bits_hits"] = self._bits_stats["hits"]
-            stats["payload_bits_misses"] = self._bits_stats["misses"]
+        stats["payload_bits_hits"] = self._bits_hits
+        stats["payload_bits_misses"] = self._bits_misses
         return stats
 
     # -- payload costing -----------------------------------------------------
@@ -459,6 +447,7 @@ class Simulator:
         entry = cache.get(id(payload))
         if entry is not None and entry[0] is payload:
             return entry[1]
+        self._bits_misses += 1
         bits = bit_size(payload, self.id_bits)
         if len(cache) >= self._bits_cache_cap:
             for key in list(islice(iter(cache), self._bits_cache_cap // 4)):
@@ -492,7 +481,8 @@ class Simulator:
         changes (diffed from the decision/halt state, which is how one
         implementation covers all three tiers), and a mid-run
         :class:`~repro.obs.events.EngineTierEvent` when the batch kernel
-        falls back to the per-node path.
+        falls back to the per-node path.  It also counts the round's
+        payload-bits cache lookups for :meth:`cache_stats`.
         """
         metrics = self.metrics
         prev_broadcasts = metrics.broadcasts
@@ -500,15 +490,21 @@ class Simulator:
         prev_msgs = metrics.delivered_messages
         prev_dbits = metrics.delivered_bits
         prev_decisions = dict(metrics._decision_rounds)
+        prev_misses = self._bits_misses
         was_backend = self._active_backend
         tier = was_backend.name
 
         self._step_inner()
 
         r = self.round_index
+        broadcasts = metrics.broadcasts - prev_broadcasts
+        if was_backend is not _BATCH:
+            # The per-node tiers cost every broadcast through the
+            # payload-bits cache; the batch kernels never consult it.
+            self._bits_hits += broadcasts - (self._bits_misses - prev_misses)
         rec.emit(obs_events.RoundEvent(
             round=r, tier=tier,
-            broadcasts=metrics.broadcasts - prev_broadcasts,
+            broadcasts=broadcasts,
             broadcast_bits=metrics.broadcast_bits - prev_bbits,
             max_broadcast_bits=metrics.max_broadcast_bits))
         rec.emit(obs_events.DeliveryEvent(
@@ -669,12 +665,11 @@ class Simulator:
                             f"fingerprint_hits="
                             f"{delta.get('fingerprint_hits', 0)} "
                             f"evictions={delta.get('evictions', 0)}")))
-            bits_stats = self._bits_stats
-            if bits_stats is not None:
-                rec.emit(obs_events.CacheEvent(
-                    round=self.round_index, cache="payload_bits",
-                    hits=bits_stats["hits"], misses=bits_stats["misses"],
-                    detail=f"entries={len(self._bits_cache)}"))
+            rec.emit(obs_events.CacheEvent(
+                round=self.round_index, cache="payload_bits",
+                hits=self._bits_hits,
+                misses=self._bits_misses,
+                detail=f"entries={len(self._bits_cache)}"))
             tiers = self._tier_rounds
             rec.emit(obs_events.SummaryEvent(
                 rounds=self.round_index, stop_reason=stop_reason,

@@ -8,6 +8,8 @@ from repro.errors import (
     ConfigurationError,
     NotTerminatedError,
 )
+from repro.simnet.engine import ENGINES
+from repro.simnet.message import bit_size
 from repro.simnet.node import Algorithm, FunctionalNode
 from repro.dynamics import ExplicitSchedule, StaticAdversary, line_graph
 
@@ -156,12 +158,38 @@ class TestBandwidth:
         return [Big(0), Big(1)]
 
     def test_strict_bandwidth_raises(self):
-        sim = Simulator(make_pair_schedule(), self._big_sender(),
-                        bandwidth_bits=32, strict_bandwidth=True)
-        with pytest.raises(BandwidthExceededError) as exc:
-            sim.run(max_rounds=2)
-        assert exc.value.limit == 32
-        assert exc.value.bits > 32
+        """Every engine raises on the first violating sender in index
+        order, before any node of the violating round consumes its inbox."""
+        delivered = []
+
+        class GrowsInRound2(Algorithm):
+            def __init__(self, node_id, size):
+                super().__init__(node_id)
+                self.size = size
+
+            def compose(self, ctx):
+                if ctx.round_index == 2 and self.size:
+                    return tuple(range(self.size))
+                return self.node_id
+
+            def deliver(self, ctx, inbox):
+                delivered.append((ctx.round_index, self.node_id))
+
+        # Index 0 stays within budget; indices 2 and 3 both violate in
+        # round 2, with different sizes so the reported one is pinned.
+        for engine in ENGINES:
+            delivered.clear()
+            nodes = [GrowsInRound2(10 + i, size)
+                     for i, size in enumerate((0, 0, 100, 200))]
+            sim = Simulator(StaticAdversary(4, line_graph(4)), nodes,
+                            bandwidth_bits=32, strict_bandwidth=True,
+                            engine=engine)
+            with pytest.raises(BandwidthExceededError) as exc:
+                sim.run(max_rounds=5)
+            err = exc.value
+            assert (err.node_id, err.bits, err.limit) == (
+                12, bit_size(tuple(range(100))), 32), engine
+            assert delivered == [(1, 10), (1, 11), (1, 12), (1, 13)], engine
 
     def test_loose_bandwidth_counts_overflows(self):
         sim = Simulator(make_pair_schedule(), self._big_sender(),

@@ -36,6 +36,7 @@ from repro.dynamics import (
 )
 from repro.dynamics.schedule import STABLE_FOREVER
 from repro.core.exact_count import ExactCount
+from repro.core.hybrid_count import HybridCount
 from repro.exec.executor import ParallelExecutor
 from repro.exec.specs import TrialSpec
 from repro.harness.runner import phase_totals, reset_phase_totals, run_trial
@@ -61,9 +62,10 @@ def _run_all(spec: TrialSpec, seed: int):
     return results
 
 
-def _sim(schedule_factory, seed, *, engine, loss_rate=0.0, trace=None):
+def _sim(schedule_factory, seed, *, engine, loss_rate=0.0, trace=None,
+         make_node=ExactCount):
     schedule = schedule_factory(seed)
-    nodes = [ExactCount(i) for i in range(schedule.num_nodes)]
+    nodes = [make_node(i) for i in range(schedule.num_nodes)]
     return Simulator(schedule, nodes, rng=RngRegistry(seed),
                      loss_rate=loss_rate, engine=engine, trace=trace)
 
@@ -186,20 +188,37 @@ def test_fast_matches_reference_under_loss(loss_rate, seed):
 
 @pytest.mark.parametrize("seed", [7])
 def test_trace_event_streams_identical(seed):
-    """Round/broadcast/decide/retract/halt events match, in order."""
+    """Round/broadcast/decide/retract/halt events match, in order.
+
+    The stabilizing ``ExactCount`` never halts.  The ``HybridCount``
+    population, with safety factors staggered by index, halts node by
+    node, so the fast tier's halt events and its shrinking active set
+    are checked against the reference too.
+    """
     def factory(s):
         return OverlapHandoffAdversary(16, 2, noise_edges=1, seed=s)
 
-    traces = {}
-    for engine in ENGINES:
-        trace = TraceRecorder()
-        sim = _sim(factory, seed, engine=engine, trace=trace)
-        sim.run(max_rounds=2000, until="quiescent", quiescence_window=16)
-        # Tracing needs per-broadcast events; batch tier must stand down.
-        assert sim._tier_rounds["batch"] == 0
-        traces[engine] = list(trace.events)
-    assert traces["fast"] == traces["reference"]
-    assert traces["fast-nobatch"] == traces["reference"]
+    def staggered_hybrid(i):
+        return HybridCount(i, safety_factor=1.5 + 0.25 * (i % 4))
+
+    for make_node, until in ((ExactCount, "quiescent"),
+                             (staggered_hybrid, "halted")):
+        traces = {}
+        for engine in ENGINES:
+            trace = TraceRecorder()
+            sim = _sim(factory, seed, engine=engine, trace=trace,
+                       make_node=make_node)
+            sim.run(max_rounds=2000, until=until, quiescence_window=16)
+            # Tracing needs per-broadcast events; batch tier must stand down.
+            assert sim._tier_rounds["batch"] == 0
+            traces[engine] = list(trace.events)
+        assert traces["fast"] == traces["reference"]
+        assert traces["fast-nobatch"] == traces["reference"]
+    halts = [e for e in traces["reference"] if e.kind == "halt"]
+    assert len(halts) == 16
+    # Halts spread over several rounds, so later rounds broadcast from
+    # a shrunken active set.
+    assert len({e.round_index for e in halts}) > 1
 
 
 def test_minimal_schedule_falls_back_to_reference():
@@ -465,7 +484,7 @@ def test_bits_cache_evicts_oldest_quarter_not_everything():
 # per-phase profiling surface
 # --------------------------------------------------------------------------
 
-@pytest.mark.parametrize("engine", ["fast", "reference"])
+@pytest.mark.parametrize("engine", ENGINES)
 def test_profile_collects_phase_seconds(engine):
     def factory(s):
         return OverlapHandoffAdversary(12, 2, noise_edges=1, seed=s)
@@ -483,6 +502,19 @@ def test_profile_collects_phase_seconds(engine):
     flat = result.metrics.as_dict()
     for name in PHASES:
         assert f"phase.{name}_s" in flat
+    # Profiling only reads the clock: the run itself is unchanged.
+    plain = Simulator(factory(0), [ExactCount(i) for i in range(12)],
+                      rng=RngRegistry(0), engine=engine, profile=False,
+                      ).run(max_rounds=1000, until="quiescent",
+                            quiescence_window=16)
+    assert result.outputs == plain.outputs
+    assert result.rounds == plain.rounds
+
+    def measured(metrics):
+        return {key: value for key, value in metrics.as_dict().items()
+                if not key.startswith(("phase.", "engine."))}
+
+    assert measured(result.metrics) == measured(plain.metrics)
 
 
 def test_profile_off_keeps_metrics_unannotated():

@@ -200,6 +200,25 @@ def test_cache_events_present_with_counters():
     assert "span_hits=0" not in adjacency.detail
 
 
+def test_payload_bits_tally_matches_across_per_node_tiers():
+    """The fast tier's fused loop and the reference loops look up every
+    broadcast's bit cost once, in the same order: equal tallies."""
+    tallies = {}
+    for engine in ("fast-nobatch", "reference"):
+        rec = Recorder.in_memory()
+        sim = _sim(recorder=rec, engine=engine)
+        result = sim.run(5000, until="quiescent", quiescence_window=32)
+        (event,) = [e for e in rec.of_kind("cache")
+                    if e.cache == "payload_bits"]
+        stats = sim.cache_stats()
+        assert stats["payload_bits_hits"] == event.hits
+        assert stats["payload_bits_misses"] == event.misses
+        assert event.hits + event.misses == result.metrics.broadcasts
+        assert event.hits > 0 and event.misses > 0
+        tallies[engine] = (event, stats)
+    assert tallies["fast-nobatch"] == tallies["reference"]
+
+
 def test_summary_event_matches_run():
     rec = Recorder.in_memory()
     result = _sim(recorder=rec).run(
