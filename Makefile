@@ -2,7 +2,7 @@
 
 PY ?= python
 
-.PHONY: install test test-fast lint bench bench-quick bench-smoke experiments sweep-parallel report docs docs-check examples clean
+.PHONY: install test test-fast lint bench bench-quick bench-smoke experiments sweep-parallel docs docs-check examples clean
 
 install:
 	pip install -e .
@@ -32,9 +32,8 @@ bench:           ## full-size: regenerates every table/figure into results/
 bench-quick:
 	REPRO_BENCH_QUICK=1 $(PY) -m pytest benchmarks/ --benchmark-only
 
-bench-smoke:     ## CI gate: fast-path + batch-kernel speedups vs baselines
-	$(PY) benchmarks/bench_micro_substrate.py --smoke
-	$(PY) benchmarks/bench_kernels.py --smoke
+bench-smoke:     ## CI gate: engine tier speedups vs baseline and bars
+	$(PY) benchmarks/bench_engine.py --smoke
 
 experiments:     ## same data via the CLI
 	$(PY) -m repro.harness.cli --all --out results/
@@ -46,16 +45,11 @@ sweep-parallel:
 	$(PY) -m repro.harness.cli t1 f3 f6 x1 --workers $(WORKERS) \
 	    --cache-dir .repro-cache --resume --out results/
 
-report:          ## rebuild EXPERIMENTS.md from results/
-	$(PY) -m repro.harness.report results EXPERIMENTS.md
-
-docs:            ## regenerate every generated document from results/
-	$(PY) -m repro.harness.report results EXPERIMENTS.md
-	$(PY) -m repro.report --results results --out docs/RESULTS.md
+docs:            ## regenerate EXPERIMENTS.md and docs/RESULTS.md from results/
+	$(PY) -m repro.report
 
 docs-check:      ## CI gate: fail when committed docs drift from results/
-	$(PY) -m repro.harness.report --check results EXPERIMENTS.md
-	$(PY) -m repro.report --check --results results --out docs/RESULTS.md
+	$(PY) -m repro.report --check
 	$(PY) tools/check_links.py
 
 examples:

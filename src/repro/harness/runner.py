@@ -21,7 +21,7 @@ from typing import (TYPE_CHECKING, Any, Callable, Dict, List, Mapping,
 
 from ..obs import events as obs_events
 from ..obs.recorder import Recorder, events_dir
-from ..simnet.engine import RunResult, Simulator
+from ..simnet.engine import RunResult, Simulator, engine_default
 from ..simnet.node import Algorithm
 from ..simnet.rng import RngRegistry
 
@@ -40,7 +40,7 @@ __all__ = ["TrialConfig", "TrialResult", "run_trial", "run_replicates",
 #: or the content-addressed result cache, and ``save_experiment``
 #: strips them from persisted artefacts, so a cache-hit rerun and a
 #: fresh (profiled or recorded) run produce byte-identical artefacts —
-#: the equality ``harness.report --check`` relies on.
+#: the equality ``python -m repro.report --check`` relies on.
 NONDURABLE_ROW_PREFIXES = ("phase.", "engine.", "obs.", "cache.")
 
 
@@ -146,14 +146,11 @@ class TrialConfig:
     allow_timeout:
         Forward to the engine; timeouts then yield ``stop_reason ==
         "max_rounds"`` instead of raising.
-    engine:
-        Engine selection forwarded to :class:`Simulator` (``"fast"``,
-        ``"fast-nobatch"``, or ``"reference"``; all produce identical
-        results).  ``None`` defers to the process-wide default (set by
-        the CLI's ``--engine`` flag or ``REPRO_ENGINE``).
-    profile:
-        Per-phase wall-clock profiling; ``None`` defers to the
-        process-wide default (set by the CLI's ``--profile`` flag).
+
+    The engine tier and per-phase profiling are process-wide settings
+    (:func:`repro.simnet.engine.engine_default` and
+    :func:`~repro.simnet.engine.profile_default`; the CLI's ``--engine``
+    and ``--profile`` flags, ``REPRO_ENGINE`` and ``REPRO_PROFILE``).
     """
 
     schedule_factory: ScheduleFactory
@@ -165,8 +162,6 @@ class TrialConfig:
     oracle: Optional[Oracle] = None
     bandwidth_bits: Optional[int] = None
     allow_timeout: bool = False
-    engine: Optional[str] = None
-    profile: Optional[bool] = None
 
 
 @dataclass(frozen=True)
@@ -224,7 +219,7 @@ _STREAM_SEQ = 0
 
 
 def _open_trial_recorder(label: str, spec_key: str, seed: int,
-                         config: "TrialConfig") -> Optional[Recorder]:
+                         config: TrialConfig) -> Optional[Recorder]:
     """A JSONL recorder for this trial, or None when events are off."""
     global _STREAM_SEQ
     out_dir = events_dir()
@@ -236,7 +231,7 @@ def _open_trial_recorder(label: str, spec_key: str, seed: int,
     recorder = Recorder.to_jsonl(path)
     recorder.emit(obs_events.TrialEvent(
         seed=seed, label=label, spec=spec_key,
-        engine=config.engine if config.engine is not None else "default",
+        engine=engine_default(),
         until=config.until, max_rounds=config.max_rounds))
     return recorder
 
@@ -271,8 +266,6 @@ def run_trial(config: TrialLike, seed: int) -> TrialResult:
     sim = Simulator(
         schedule, nodes, rng=RngRegistry(seed),
         bandwidth_bits=config.bandwidth_bits,
-        engine=config.engine,
-        profile=config.profile,
         recorder=recorder,
     )
     try:

@@ -91,8 +91,10 @@ class TrialEvent(Event):
     content-address hash (:meth:`repro.exec.TrialSpec.key`) when the
     trial came through a declarative spec — the same key the executor's
     result cache uses, tying the event stream to the cached row;
-    ``engine`` is the engine argument the simulator was built with
-    (``"default"`` when deferred to the process default).
+    ``engine`` is the process-wide engine the trial ran under
+    (:func:`repro.simnet.engine.engine_default`: ``"fast"``,
+    ``"fast-nobatch"`` or ``"reference"``; the tiers that actually
+    executed follow in ``engine_tier`` events).
     """
 
     kind = "trial"

@@ -1,20 +1,27 @@
-"""``python -m repro.report`` — render ``results/`` into docs/RESULTS.md.
+"""``python -m repro.report`` — render ``results/`` into the generated docs.
 
-The generator folds every saved artefact — the per-experiment
-``rows.json`` files under ``results/{t1,f1..f6,t2,t3,x1,x2}``, the
-benchmark records (``BENCH_engine.json``, ``BENCH_kernels.json``,
-``bench_smoke.json``, ``exec_scaling.json``), the claim verdicts from
-:mod:`repro.harness.claims`, and fresh power-law fits from
-:mod:`repro.analysis.fitting` — into one deterministic Markdown
-document.  Determinism is load-bearing: the output contains no
-timestamps or machine state, so regenerating from unchanged artefacts
-is byte-identical, and ``make docs-check`` can fail CI whenever the
-committed document drifts from the artefacts it claims to describe.
+One generator writes both documents of the measured record from the
+saved artefacts:
+
+* ``EXPERIMENTS.md`` — per experiment, what the paper leads us to
+  expect next to the rendered ``results/<exp>/report.txt``;
+* ``docs/RESULTS.md`` — the per-experiment ``rows.json`` tables, the
+  engine bench record (``BENCH_engine.json``) and executor scaling
+  (``exec_scaling.json``), the claim verdicts from
+  :mod:`repro.harness.claims`, and fresh power-law fits from
+  :mod:`repro.analysis.fitting`.
+
+Each ``rows.json`` is loaded once and feeds both documents; experiments
+appear in :data:`repro.harness.experiments.EXPERIMENTS` order.
+Determinism is load-bearing: the output contains no timestamps or
+machine state, so regenerating from unchanged artefacts is
+byte-identical, and ``make docs-check`` can fail CI whenever a committed
+document drifts from the artefacts it claims to describe.
 
 Usage::
 
-    python -m repro.report                      # rewrite docs/RESULTS.md
-    python -m repro.report --results results --out docs/RESULTS.md
+    python -m repro.report                      # rewrite both documents
+    python -m repro.report --results results --root .
     python -m repro.report --check              # exit 1 on drift, write nothing
 """
 
@@ -29,14 +36,108 @@ from typing import Any, Dict, List, Optional
 from .analysis.fitting import power_law_fit
 from .analysis.tables import render_markdown
 from .harness.claims import check_claims
+from .harness.experiments import EXPERIMENTS
 from .simnet.engine import ENGINE_TIERS
 
-__all__ = ["build_results_markdown", "main"]
+__all__ = ["build_report", "build_results_markdown", "main"]
 
-#: Experiment presentation order (matches EXPERIMENTS.md / the harness).
-_ORDER = ["t1", "f1", "f2", "f3", "f4", "t2", "f5", "f6", "t3", "x1", "x2"]
+#: ``{exp_id: rows.json document, or None when the experiment has not run}``.
+Experiments = Dict[str, Optional[Dict[str, Any]]]
 
-_HEADER = """# RESULTS — the measured record, in one page
+# What the paper (abstract + the prior work it cites) leads us to expect,
+# experiment by experiment.  The generator pairs these with the measured
+# rows.
+_EXPECTATIONS: Dict[str, str] = {
+    "t1": ("Paper claim: Count complexity with no Ω(N) term under "
+           "constant T.  Expected: baselines grow with N (KLO ~N², token "
+           "dissemination ≳N) while the core algorithms track d = "
+           "O(log N) and stay flat."),
+    "f1": ("Expected log-log slopes: KLO ≈ 2, token dissemination ≈ 1–1.5,"
+           " core algorithms ≈ 0 (polylog)."),
+    "f2": ("Expected: core algorithms flat in T (constant T suffices — "
+           "the headline); KLO cannot exploit T.  The windowed-throttle "
+           "token-dissemination series should trend downward with T, but "
+           "only weakly: the true Ω(N·k/T) lower-bound adversary "
+           "(charging argument, Dutta et al. SODA'13) is not implemented "
+           "here — treat that series as directional only."),
+    "f3": ("Expected: core algorithms linear in d and below the proved "
+           "(1+growth)·d bound; known-N flooding pays N−1 regardless; "
+           "curves meet near d = Θ(N) (the lower-bound regime)."),
+    "f4": ("Expected: measured coverage of the (1±ε) interval matches "
+           "the exact Gamma-tail prediction (≈ 1−δ)."),
+    "t2": ("Expected: correct outputs under every adversary; ~3d rounds "
+           "on low-d schedules; Θ(N) only where the adversary forces "
+           "d = Θ(N) (static line, adaptive throttle)."),
+    "f5": ("Expected: the calibrated core model crosses below KLO at "
+           "single-digit N and below known-N flooding soon after."),
+    "f6": ("Expected: sketch-based messages are O(ε⁻²) words independent "
+           "of N; exact/KLO messages grow as Θ(N log N) bits."),
+    "t3": ("Expected: growth 2 ≈ best stabilization-vs-retraction "
+           "trade-off; exponential sketch beats geometric at equal "
+           "width; greedy pipelining beats TDM."),
+    "x1": ("Extension (DESIGN.md S8), not a paper table: each step up in "
+           "termination strength costs a scale factor — stabilizing "
+           "O(d) < halting-w.h.p. ~1.5N < halting-deterministic Θ(N²)."),
+    "x2": ("Extension, not a paper table: under random message loss the "
+           "stabilizing core stays exact with smoothly growing rounds; "
+           "the halting known-bound variant breaks once the promise its "
+           "bound encoded is violated."),
+}
+
+_EXPERIMENTS_HEADER = """# EXPERIMENTS — measured results of the reconstructed evaluation
+
+> Generated by ``python -m repro.report`` from ``{results_dir}``.
+> Regenerate the underlying data with ``repro-experiments --all --out
+> {results_dir}`` or ``pytest benchmarks/ --benchmark-only``.
+
+**Reading guide.**  The original paper's evaluation section was not
+available (see DESIGN.md §0); the experiments below are the
+reconstruction defined in DESIGN.md §3.  "Expected" states what the
+abstract's claims and the cited prior work predict; the measured tables
+and ASCII figures follow verbatim from the run artefacts.  Reproduction
+success = the *shape* matches (who wins, slopes, crossovers), not
+absolute constants — the substrate here is a simulator, not the authors'
+environment.
+
+**Regenerating faster.**  The grid experiments accept
+``--workers/--cache-dir/--resume`` (the ``repro.exec`` executor): e.g.
+``repro-experiments f3 --workers 4 --cache-dir .repro-cache --out
+{results_dir}`` fans F3's 45 full-size rows across four processes,
+caches each row content-addressed on disk (a rerun executes zero
+trials), and resumes an interrupted run from its journal.  Parallel
+rows are byte-identical to serial rows, so the artefacts — and this
+document — are unaffected by how they were produced.  See
+``docs/EXECUTOR.md``.
+
+**Engine selection.**  ``--engine fast|fast-nobatch|reference`` picks
+the simulator implementation for every trial: ``fast`` (the default)
+dispatches whole-population struct-of-arrays batch kernels where the
+algorithm provides them and the vectorised per-node path elsewhere;
+``fast-nobatch`` disables only the kernels; ``reference`` runs the
+plain per-node loops.  All three produce bit-identical rows — the
+equivalence is tested — so engine choice never affects this document.
+See ``docs/PERFORMANCE.md``.
+
+**Profiling and observability.**  ``--profile`` prints, after each
+experiment, the per-phase wall-clock split (``compose`` / ``reveal`` /
+``deliver`` / ``drain`` seconds and percentages over all freshly
+executed trials) and the per-tier round counts (``batch`` / ``fast`` /
+``reference``) — the quick check that the kernels are engaging.
+``--events DIR`` records a schema-validated JSONL event stream per
+trial (decisions, tier selection, cache counters) and merges them into
+``DIR/events.jsonl``; see ``docs/OBSERVABILITY.md``.  Neither flag
+changes measured rows.
+
+**The condensed record.**  ``python -m repro.report`` renders
+{results_dir}/ into ``docs/RESULTS.md`` — claim verdicts, scaling
+fits, every row table, and the benchmark record in one page; ``make
+docs-check`` fails CI when either generated document drifts from the
+artefacts.
+"""
+
+
+
+_RESULTS_HEADER = """# RESULTS — the measured record, in one page
 
 > Generated by ``python -m repro.report`` from ``{results_dir}``.
 > Do not edit by hand: ``make docs`` regenerates this file and
@@ -74,14 +175,14 @@ def _claims_section(results_dir: str) -> str:
             f"for what each one checks):\n\n{table}")
 
 
-def _fits_section(results_dir: str) -> Optional[str]:
+def _fits_section(experiments: Experiments) -> Optional[str]:
     """Fresh power-law fits of rounds vs N from the T1 rows.
 
     F1 stores the fits the harness computed at run time; re-fitting
     here from the raw T1 rows cross-checks that the stored exponents
     follow from the stored measurements.
     """
-    doc = _load_json(os.path.join(results_dir, "t1", "rows.json"))
+    doc = experiments.get("t1")
     if doc is None:
         return None
     series: Dict[str, List[Dict[str, Any]]] = {}
@@ -111,8 +212,8 @@ def _fits_section(results_dir: str) -> Optional[str]:
             + render_markdown(fit_rows))
 
 
-def _experiment_section(results_dir: str, exp_id: str) -> str:
-    doc = _load_json(os.path.join(results_dir, exp_id, "rows.json"))
+def _experiment_section(results_dir: str, exp_id: str,
+                        doc: Optional[Dict[str, Any]]) -> str:
     if doc is None:
         return (f"## {exp_id.upper()}\n\n*(not yet run — execute "
                 f"`repro-experiments {exp_id} --out {results_dir}`)*")
@@ -122,7 +223,7 @@ def _experiment_section(results_dir: str, exp_id: str) -> str:
             f"{len(rows)} rows:\n\n{table}")
 
 
-def _tier_section(results_dir: str) -> Optional[str]:
+def _tier_section(experiments: Experiments) -> Optional[str]:
     """Per-engine-tier round counts from the experiments that record them.
 
     X2 annotates each row with how many rounds each dispatch tier
@@ -130,7 +231,7 @@ def _tier_section(results_dir: str) -> Optional[str]:
     makes "did the loss-capable batch kernels actually carry the lossy
     runs?" answerable from the document alone (see docs/ENGINES.md).
     """
-    doc = _load_json(os.path.join(results_dir, "x2", "rows.json"))
+    doc = experiments.get("x2")
     if doc is None:
         return None
     rows = [row for row in doc["rows"] if "batch_rounds" in row]
@@ -158,39 +259,34 @@ def _tier_section(results_dir: str) -> Optional[str]:
             + render_markdown(table_rows))
 
 
-_BENCHES = [
-    ("bench_smoke.json",
-     "Engine smoke benchmark",
-     "The CI gate (`make bench-smoke`): the vectorized fast path must "
-     "beat the reference loops at every size."),
-    ("BENCH_engine.json",
-     "Fast path vs reference loops",
-     "Full-size comparison of the per-node vectorized engine tier "
-     "against the reference loops (`benchmarks/`)."),
-    ("BENCH_kernels.json",
-     "Batch kernels vs fast path vs reference",
-     "The struct-of-arrays batch-kernel tier against the other two "
-     "tiers; all three produce bit-identical results."),
-]
+def _engine_bench_section(doc: Dict[str, Any]) -> str:
+    """The engine tier bench record (``benchmarks/bench_engine.py``)."""
+    fast_ref = doc["fast_vs_reference"]
+    kernel = doc["kernel_vs_fast"]
+    return (f"### Engine tiers (mode={doc['mode']}, "
+            f"schedule={doc['schedule']})\n\n"
+            "`benchmarks/bench_engine.py` times the three engine tiers, "
+            "which produce bit-identical results.  `make bench-smoke` "
+            "gates these ratios against "
+            "`results/bench_engine_baseline.json`.\n\n"
+            "Per-node fast path vs reference loops "
+            f"(nodes={fast_ref['nodes']}, warmed-up `step()` calls — "
+            "the engine's own per-round overhead):\n\n"
+            + render_markdown(fast_ref["rows"])
+            + "\n\nStruct-of-arrays batch kernels vs fast path vs "
+            f"reference (nodes={kernel['nodes']}, through `run()` so the "
+            "kernel tier engages):\n\n"
+            + render_markdown(kernel["rows"])
+            + "\n\nUnder per-edge Bernoulli loss (the lossy gate — "
+            "kernel/fast must stay above 1.0x):\n\n"
+            + render_markdown([kernel["lossy"]]))
 
 
 def _bench_sections(results_dir: str) -> List[str]:
     parts: List[str] = []
-    for filename, title, blurb in _BENCHES:
-        doc = _load_json(os.path.join(results_dir, filename))
-        if doc is None:
-            continue
-        meta = ", ".join(f"{k}={doc[k]}" for k in ("mode", "nodes", "schedule")
-                         if k in doc)
-        meta_line = f" ({meta})" if meta else ""
-        section = (f"### {title}{meta_line}\n\n{blurb}\n\n"
-                   + render_markdown(doc["rows"]))
-        if "lossy" in doc:
-            section += (
-                "\n\nUnder per-edge Bernoulli loss (the `make bench-smoke` "
-                "lossy gate — kernel/fast must stay above 1.0x):\n\n"
-                + render_markdown([doc["lossy"]]))
-        parts.append(section)
+    engine = _load_json(os.path.join(results_dir, "BENCH_engine.json"))
+    if engine is not None:
+        parts.append(_engine_bench_section(engine))
     scaling = _load_json(os.path.join(results_dir, "exec_scaling.json"))
     if scaling is not None:
         rows = [{"workers": int(w), "elapsed_s": s}
@@ -204,26 +300,58 @@ def _bench_sections(results_dir: str) -> List[str]:
     if not parts:
         return []
     return ["## Engine and executor benchmarks\n\n"
-            "Recorded by `pytest benchmarks/ --benchmark-only`; "
-            "methodology and current analysis in "
+            "Recorded by `pytest benchmarks/ --benchmark-only` and "
+            "`make bench-smoke`; methodology and current analysis in "
             "[PERFORMANCE.md](PERFORMANCE.md).\n\n" + "\n\n".join(parts)]
 
 
-def build_results_markdown(results_dir: str = "results") -> str:
+def _load_experiments(results_dir: str) -> Experiments:
+    """Every experiment's ``rows.json`` document, in presentation order."""
+    return {exp_id: _load_json(os.path.join(results_dir, exp_id, "rows.json"))
+            for exp_id in EXPERIMENTS}
+
+
+def build_report(results_dir: str,
+                 experiments: Optional[Experiments] = None) -> str:
+    """Assemble EXPERIMENTS.md: expectations next to each rendered report."""
+    if experiments is None:
+        experiments = _load_experiments(results_dir)
+    parts = [_EXPERIMENTS_HEADER.format(results_dir=results_dir)]
+    for exp_id, doc in experiments.items():
+        report_path = os.path.join(results_dir, exp_id, "report.txt")
+        if not os.path.exists(report_path):
+            parts.append(f"## {exp_id.upper()}\n\n*(not yet run — execute "
+                         f"`repro-experiments {exp_id} --out {results_dir}`)*")
+            continue
+        title = exp_id.upper()
+        if doc is not None:
+            title = f"{exp_id.upper()} — {doc['title']}"
+        with open(report_path) as fh:
+            body = fh.read().strip()
+        parts.append(
+            f"## {title}\n\n**Expected.** {_EXPECTATIONS[exp_id]}\n\n"
+            f"**Measured.**\n\n```text\n{body}\n```")
+    return "\n\n".join(parts) + "\n"
+
+
+def build_results_markdown(results_dir: str = "results",
+                           experiments: Optional[Experiments] = None) -> str:
     """Assemble docs/RESULTS.md from the saved artefacts, deterministically.
 
     The output depends only on the artefact files — equal inputs yield
     byte-identical output in any process (the golden-docs test and
     ``make docs-check`` both rely on this).
     """
-    parts = [_HEADER.format(results_dir=results_dir)]
+    if experiments is None:
+        experiments = _load_experiments(results_dir)
+    parts = [_RESULTS_HEADER.format(results_dir=results_dir)]
     parts.append(_claims_section(results_dir))
-    fits = _fits_section(results_dir)
+    fits = _fits_section(experiments)
     if fits is not None:
         parts.append(fits)
-    for exp_id in _ORDER:
-        parts.append(_experiment_section(results_dir, exp_id))
-    tiers = _tier_section(results_dir)
+    for exp_id, doc in experiments.items():
+        parts.append(_experiment_section(results_dir, exp_id, doc))
+    tiers = _tier_section(experiments)
     if tiers is not None:
         parts.append(tiers)
     parts.extend(_bench_sections(results_dir))
@@ -234,33 +362,44 @@ def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point; returns the process exit code."""
     parser = argparse.ArgumentParser(
         prog="python -m repro.report",
-        description="Render results/ artefacts into docs/RESULTS.md.")
+        description="Render results/ artefacts into EXPERIMENTS.md and "
+                    "docs/RESULTS.md.")
     parser.add_argument("--results", default="results", metavar="DIR",
                         help="artefact directory (default: results)")
-    parser.add_argument("--out", default=os.path.join("docs", "RESULTS.md"),
-                        metavar="FILE",
-                        help="output document (default: docs/RESULTS.md)")
+    parser.add_argument("--root", default=".", metavar="DIR",
+                        help="repository root the documents live under "
+                             "(default: .)")
     parser.add_argument("--check", action="store_true",
-                        help="compare against the committed document and "
+                        help="compare against the committed documents and "
                              "exit 1 on drift without writing")
     args = parser.parse_args(argv)
-    text = build_results_markdown(args.results)
-    if args.check:
-        committed = ""
-        if os.path.exists(args.out):
-            with open(args.out) as fh:
-                committed = fh.read()
-        if committed != text:
-            print(f"{args.out} is out of date with {args.results}/ — "
-                  f"run `python -m repro.report` (or `make docs`) and "
-                  f"commit the result", file=sys.stderr)
-            return 1
-        print(f"{args.out} is up to date with {args.results}/")
-        return 0
-    with open(args.out, "w") as fh:
-        fh.write(text)
-    print(f"wrote {args.out} ({len(text)} bytes) from {args.results}/")
-    return 0
+    experiments = _load_experiments(args.results)
+    documents = {
+        os.path.normpath(os.path.join(args.root, "EXPERIMENTS.md")):
+            build_report(args.results, experiments),
+        os.path.normpath(os.path.join(args.root, "docs", "RESULTS.md")):
+            build_results_markdown(args.results, experiments),
+    }
+    drifted = 0
+    for path, text in documents.items():
+        if args.check:
+            committed = ""
+            if os.path.exists(path):
+                with open(path) as fh:
+                    committed = fh.read()
+            if committed == text:
+                print(f"{path} is up to date with {args.results}/")
+                continue
+            drifted += 1
+            print(f"{path} is out of date with {args.results}/ — run "
+                  f"`python -m repro.report` (or `make docs`) and commit "
+                  f"the result", file=sys.stderr)
+            continue
+        os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+        with open(path, "w") as fh:
+            fh.write(text)
+        print(f"wrote {path} ({len(text)} bytes) from {args.results}/")
+    return 1 if drifted else 0
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -421,17 +421,23 @@ class Simulator:
         if self.recorder is None:
             return None
         stats: Dict[str, int] = {}
-        adj_stats = getattr(self.schedule, "adjacency_stats", None)
-        if adj_stats is not None:
-            base = self._adj_stats_base or {}
-            delta = {key: adj_stats[key] - base.get(key, 0)
-                     for key in adj_stats}
+        delta = self._adjacency_delta()
+        if delta is not None:
             stats["adjacency_hits"] = (delta.get("span_hits", 0)
                                        + delta.get("fingerprint_hits", 0))
             stats["adjacency_misses"] = delta.get("builds", 0)
         stats["payload_bits_hits"] = self._bits_hits
         stats["payload_bits_misses"] = self._bits_misses
         return stats
+
+    def _adjacency_delta(self) -> Optional[Dict[str, int]]:
+        """The schedule's adjacency-cache counters since this simulator
+        was built, or ``None`` when the schedule keeps none."""
+        adj_stats = getattr(self.schedule, "adjacency_stats", None)
+        if adj_stats is None:
+            return None
+        base = self._adj_stats_base or {}
+        return {key: adj_stats[key] - base.get(key, 0) for key in adj_stats}
 
     # -- payload costing -----------------------------------------------------
 
@@ -651,11 +657,8 @@ class Simulator:
             self._active_backend.reconcile(self)
 
         if rec is not None:
-            adj_stats = getattr(self.schedule, "adjacency_stats", None)
-            if adj_stats is not None:
-                base = self._adj_stats_base or {}
-                delta = {key: adj_stats[key] - base.get(key, 0)
-                         for key in adj_stats}
+            delta = self._adjacency_delta()
+            if delta is not None:
                 rec.emit(obs_events.CacheEvent(
                     round=self.round_index, cache="adjacency",
                     hits=delta.get("span_hits", 0)

@@ -218,7 +218,7 @@ def test_recorded_rows_normalize_to_unrecorded_rows(tmp_path):
 
 def test_executor_cache_hits_match_recorded_fresh_rows(tmp_path):
     """A warm rerun serves the stripped row; it must equal the durable
-    form of the fresh recorded row (``harness.report --check`` parity)."""
+    form of the fresh recorded row (``repro.report --check`` parity)."""
     cells = [(_SPEC, 5)]
     events = tmp_path / "events"
     events.mkdir()

@@ -6,8 +6,9 @@ they drift.  These tests pin the contract locally:
 
 * regeneration from the committed artefacts is byte-identical to the
   committed documents (the golden-docs guarantee);
-* the generators are deterministic — two builds produce equal bytes;
-* ``--check`` exits 0 in sync and 1 on drift, without writing;
+* the generator is deterministic — two builds produce equal bytes;
+* ``python -m repro.report --check`` exits 0 when both documents are in
+  sync and 1 when either drifts, without writing;
 * every relative Markdown link in README/docs resolves.
 """
 
@@ -17,8 +18,8 @@ import sys
 
 import pytest
 
-from repro.harness.report import build_report
-from repro.report import build_results_markdown, main as report_main
+from repro.report import build_report, build_results_markdown
+from repro.report import main as report_main
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 RESULTS = os.path.join(REPO_ROOT, "results")
@@ -49,22 +50,36 @@ def test_results_md_generation_is_deterministic():
     assert build_results_markdown(RESULTS) == build_results_markdown(RESULTS)
 
 
+def _write_docs(root):
+    """Both generated documents, regenerated under *root*."""
+    paths = [root / "EXPERIMENTS.md", root / "docs" / "RESULTS.md"]
+    paths[1].parent.mkdir()
+    paths[0].write_text(build_report(RESULTS))
+    paths[1].write_text(build_results_markdown(RESULTS))
+    return paths
+
+
 def test_check_mode_passes_in_sync_and_writes_nothing(tmp_path):
-    out = tmp_path / "RESULTS.md"
-    out.write_text(build_results_markdown(RESULTS))
-    before = out.stat().st_mtime_ns
-    code = report_main(["--results", RESULTS, "--out", str(out), "--check"])
+    paths = _write_docs(tmp_path)
+    before = [path.stat().st_mtime_ns for path in paths]
+    code = report_main(["--results", RESULTS, "--root", str(tmp_path),
+                        "--check"])
     assert code == 0
-    assert out.stat().st_mtime_ns == before
+    assert [path.stat().st_mtime_ns for path in paths] == before
 
 
 def test_check_mode_fails_on_drift(tmp_path, capsys):
-    out = tmp_path / "RESULTS.md"
-    out.write_text(build_results_markdown(RESULTS) + "tampered\n")
-    code = report_main(["--results", RESULTS, "--out", str(out), "--check"])
-    assert code == 1
-    assert "out of date" in capsys.readouterr().err
-    assert out.read_text().endswith("tampered\n")  # nothing rewritten
+    paths = _write_docs(tmp_path)
+    for tampered in paths:
+        clean = tampered.read_text()
+        tampered.write_text(clean + "tampered\n")
+        code = report_main(["--results", RESULTS, "--root", str(tmp_path),
+                            "--check"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "out of date" in err and tampered.name in err
+        assert tampered.read_text().endswith("tampered\n")  # not rewritten
+        tampered.write_text(clean)
 
 
 def test_missing_experiment_renders_placeholder(tmp_path):

@@ -19,6 +19,7 @@ stable windows, content-fingerprint dedup across windows), the
 cache, and the per-phase profiling surface.
 """
 
+import contextlib
 import dataclasses
 
 import numpy as np
@@ -41,7 +42,7 @@ from repro.exec.executor import ParallelExecutor
 from repro.exec.specs import TrialSpec
 from repro.harness.runner import phase_totals, reset_phase_totals, run_trial
 from repro.simnet import RngRegistry, Simulator, TraceRecorder
-from repro.simnet.engine import PHASES
+from repro.simnet.engine import PHASES, profile_default, set_profile_default
 
 
 # --------------------------------------------------------------------------
@@ -52,14 +53,24 @@ from repro.simnet.engine import PHASES
 ENGINES = ("fast", "fast-nobatch", "reference")
 
 
-def _run_all(spec: TrialSpec, seed: int):
+def _run_all(spec: TrialSpec, seed: int, monkeypatch):
     """Run one spec under every engine tier, keyed by engine name."""
     results = {}
     for engine in ENGINES:
-        config = spec.to_config()
-        config.engine = engine
-        results[engine] = run_trial(config, seed)
+        monkeypatch.setenv("REPRO_ENGINE", engine)
+        results[engine] = run_trial(spec, seed)
     return results
+
+
+@contextlib.contextmanager
+def _profiling():
+    """Turn the process-wide profiling default on for the block."""
+    previous = profile_default()
+    set_profile_default(True)
+    try:
+        yield
+    finally:
+        set_profile_default(previous)
 
 
 def _sim(schedule_factory, seed, *, engine, loss_rate=0.0, trace=None,
@@ -149,8 +160,8 @@ GRID = [
 
 @pytest.mark.parametrize("spec", GRID)
 @pytest.mark.parametrize("seed", [3, 11])
-def test_engine_tiers_match_across_grid(spec, seed):
-    results = _run_all(spec, seed)
+def test_engine_tiers_match_across_grid(spec, seed, monkeypatch):
+    results = _run_all(spec, seed, monkeypatch)
     ref = results["reference"]
     for engine in ENGINES[:-1]:
         # TrialResult is a frozen dataclass: full equality.
@@ -531,9 +542,8 @@ def test_profile_flows_into_trial_result_rows():
         schedule="lowdiam_handoff", schedule_params={"n": 12, "T": 2},
         nodes="exact_count", node_params={"n": 12},
         max_rounds=1000, until="quiescent", quiescence_window=16)
-    config = spec.to_config()
-    config.profile = True
-    result = run_trial(config, 3)
+    with _profiling():
+        result = run_trial(spec, 3)
     assert result.phase_seconds is not None
     row = result.as_row()
     for name in PHASES:
@@ -551,10 +561,9 @@ def test_phase_totals_accumulate_per_profiled_trial():
         max_rounds=1000, until="quiescent", quiescence_window=16)
     reset_phase_totals()
     try:
-        config = spec.to_config()
-        config.profile = True
-        run_trial(config, 1)
-        run_trial(config, 2)
+        with _profiling():
+            run_trial(spec, 1)
+            run_trial(spec, 2)
         totals, trials = phase_totals()
         assert trials == 2
         assert set(totals) == set(PHASES)
@@ -569,8 +578,6 @@ def test_phase_totals_accumulate_per_profiled_trial():
 def test_executor_strips_phase_columns_from_cache(tmp_path):
     """Wall-clock timings stay in in-memory rows but never in the
     content-addressed cache (rows must be deterministic per (spec, seed))."""
-    from repro.simnet.engine import set_profile_default
-
     spec = TrialSpec(
         schedule="lowdiam_handoff", schedule_params={"n": 10, "T": 2},
         nodes="exact_count", node_params={"n": 10},

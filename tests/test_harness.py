@@ -117,6 +117,9 @@ class TestCli:
 
     def test_no_args_shows_help(self, capsys):
         assert cli_main([]) == 2
+        # The positional help lists every registered experiment id.
+        assert " ".join(EXPERIMENTS) in " ".join(
+            capsys.readouterr().out.split())
 
     def test_unknown_experiment(self, capsys):
         assert cli_main(["zz"]) == 2

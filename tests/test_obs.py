@@ -282,6 +282,19 @@ def test_runner_stream_is_schema_valid(events_dir):
     assert header.spec == _SPEC.key(11)  # cache-key provenance
 
 
+def test_trial_header_records_resolved_engine(events_dir, monkeypatch):
+    monkeypatch.setenv("REPRO_ENGINE", "reference")
+    run_trial(_SPEC, 11)
+    (stream,) = [f for f in os.listdir(events_dir) if f.startswith("trial-")]
+    with open(os.path.join(events_dir, stream)) as fh:
+        header = json.loads(fh.readline())
+    assert header["kind"] == "trial"
+    assert header["engine"] == "reference"
+    tiers = [e for e in iter_stream(os.path.join(events_dir, stream))
+             if e.kind == "engine_tier"]
+    assert tiers and all(e.tier == "reference" for e in tiers)
+
+
 def test_merge_is_deterministic_with_provenance(events_dir):
     for seed in (5, 3, 4):
         run_trial(_SPEC, seed)

@@ -8,7 +8,7 @@ import pytest
 
 from repro.harness.experiments import ExperimentResult
 from repro.harness.io import save_experiment
-from repro.harness.report import build_report, main as report_main
+from repro.report import build_report, main as report_main
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -35,11 +35,13 @@ class TestReportBuilder:
 
     def test_main_writes_file(self, tmp_path, capsys):
         self._seed_results(tmp_path)
-        out = tmp_path / "EXP.md"
-        code = report_main([str(tmp_path), str(out)])
+        root = tmp_path / "root"
+        code = report_main(["--results", str(tmp_path), "--root", str(root)])
         assert code == 0
-        assert out.exists()
-        assert "wrote" in capsys.readouterr().out
+        experiments_md = (root / "EXPERIMENTS.md").read_text()
+        assert "T1 — Count scaling demo" in experiments_md
+        assert (root / "docs" / "RESULTS.md").exists()
+        assert capsys.readouterr().out.count("wrote") == 2
 
 
 def run_example(name, timeout=240):
