@@ -42,7 +42,7 @@ experiments:     ## same data via the CLI
 # cache; rerun after an interrupt to resume only the missing cells.
 WORKERS ?= 4
 sweep-parallel:
-	$(PY) -m repro.harness.cli t1 f3 f6 x1 --workers $(WORKERS) \
+	$(PY) -m repro.harness.cli t1 f2 f3 t2 f6 x1 --workers $(WORKERS) \
 	    --cache-dir .repro-cache --resume --out results/
 
 docs:            ## regenerate EXPERIMENTS.md and docs/RESULTS.md from results/

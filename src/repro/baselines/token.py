@@ -13,12 +13,13 @@ As a Count baseline it comes in two knowledge flavours:
 
 * ``target_count=N`` (known ``N``): a node decides ``N`` once it has
   collected ``N`` distinct tokens (run with ``until="decided"`` — nodes
-  keep forwarding after deciding so laggards can finish);
-* ``target_count=None`` (oracle-measured): nodes never decide; the
-  experiment harness measures the round in which the last node completed
-  via :func:`dissemination_complete`.  This matches how dissemination
-  *time* (the quantity the ``Ω(N²/T)`` lower bounds speak about) is
-  reported in the literature.
+  keep forwarding after deciding so laggards can finish).  The run then
+  stops in the round the last node completes, i.e. it measures
+  dissemination *time* (the quantity the ``Ω(N²/T)`` lower bounds speak
+  about, as reported in the literature);
+* ``target_count=None`` (oracle-measured): nodes never decide; a
+  ``stop_when`` over :func:`dissemination_complete` stops the run in
+  the same round.
 """
 
 from __future__ import annotations

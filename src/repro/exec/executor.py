@@ -208,9 +208,9 @@ class ParallelExecutor:
             if not isinstance(spec, TrialSpec):
                 raise ConfigurationError(
                     "ParallelExecutor cells must be (TrialSpec, seed) "
-                    f"pairs; got {type(spec).__name__} — lambda-based "
-                    "TrialConfig objects cannot cross process boundaries "
-                    "or be content-addressed")
+                    f"pairs; got {type(spec).__name__} — only a spec "
+                    "can cross process boundaries and be "
+                    "content-addressed")
         report = ExecutionReport(total=len(cells))
         started = time.monotonic()
         keys = [self._key(spec, seed) for spec, seed in cells]

@@ -1,8 +1,8 @@
 """Declarative, picklable trial specifications.
 
-A :class:`TrialSpec` is plain data: registered builder *names* plus
-JSON-serializable parameter dicts.  That buys three properties the
-lambda-based :class:`~repro.harness.runner.TrialConfig` cannot offer:
+A :class:`TrialSpec` is the one way to describe a trial: registered
+builder *names* plus JSON-serializable parameter dicts.  That buys three
+properties:
 
 1. **process mobility** — a spec pickles cleanly, so trials can be
    shipped to worker processes by the
@@ -164,8 +164,8 @@ class TrialSpec:
         Name of a registered node-set builder, called as
         ``builder(schedule, seed, **node_params)``.
     max_rounds / until / quiescence_window / allow_timeout / bandwidth_bits:
-        Stop configuration, exactly as on
-        :class:`~repro.harness.runner.TrialConfig`.
+        Stop configuration, as in
+        :meth:`repro.simnet.engine.Simulator.run`.
     oracle / oracle_params:
         Optional registered correctness oracle, called as
         ``oracle(outputs, schedule, **oracle_params)``.
@@ -228,7 +228,9 @@ class TrialSpec:
         return dataclasses.replace(self, tags={**self.tags, **tags})
 
     def to_config(self):
-        """Resolve registry names into a runnable ``TrialConfig``."""
+        """Resolve registry names into the in-process
+        :class:`~repro.harness.runner.TrialConfig` that
+        :func:`~repro.harness.runner.run_trial` executes."""
         from ..harness.runner import TrialConfig
 
         sched_builder = _lookup(_SCHEDULES, "schedule", self.schedule)
@@ -260,13 +262,21 @@ class TrialSpec:
 
 @register_schedule("lowdiam_handoff")
 def _build_lowdiam(seed: int, *, n: int, T: int,
-                   noise_edges: Optional[int] = None):
-    """The evaluation's default low-``d`` T-interval adversary."""
+                   noise_edges: Optional[int] = None,
+                   schedule_seed: Optional[int] = None):
+    """The evaluation's default low-``d`` T-interval adversary.
+
+    *schedule_seed*, when given, seeds the schedule instead of the trial
+    seed (F4 draws the two independently).
+    """
     from ..dynamics import OverlapHandoffAdversary
 
     if noise_edges is None:
         noise_edges = max(1, n // 8)
-    return OverlapHandoffAdversary(n, T, noise_edges=noise_edges, seed=seed)
+    if schedule_seed is None:
+        schedule_seed = seed
+    return OverlapHandoffAdversary(n, T, noise_edges=noise_edges,
+                                   seed=schedule_seed)
 
 
 @register_schedule("overlap_handoff")
@@ -327,12 +337,30 @@ def _build_windowed_throttle(seed: int, *, n: int, T: int):
     return WindowedThrottleAdversary(n, T)
 
 
+@register_schedule("edge_churn")
+def _build_edge_churn(seed: int, *, n: int):
+    """Edge churn around a fixed random-tree backbone (drawn from seed 7,
+    so every trial seed churns the same tree)."""
+    from ..dynamics import EdgeChurnAdversary, random_tree_graph
+
+    tree = random_tree_graph(n, np.random.default_rng(7))
+    return EdgeChurnAdversary(n, tree, seed=seed)
+
+
+@register_schedule("cut_throttle")
+def _build_cut_throttle(seed: int, *, n: int):
+    """The adaptive path re-sorted every round by node ``progress``."""
+    from ..dynamics import CutThrottleAdversary
+
+    return CutThrottleAdversary(n)
+
+
 # --------------------------------------------------------------------------
 # built-in node-set builders (the evaluation's algorithms)
 # --------------------------------------------------------------------------
 
 def _modvalue(i: int, mult: int, mod: int) -> int:
-    """The evaluation's deterministic node input (``_value`` in T1/F3)."""
+    """The evaluation's deterministic Max input of node *i*."""
     return (i * mult) % mod
 
 
@@ -351,6 +379,15 @@ def _nodes_approx_count(schedule, seed: int, *, n: int,
     from ..core.approx_count import ApproxCount
 
     return [ApproxCount(i, eps=eps, delta=delta) for i in range(n)]
+
+
+@register_nodes("approx_count_known_bound")
+def _nodes_approx_count_known_bound(schedule, seed: int, *, n: int,
+                                    rounds_bound: int, width: int):
+    from ..core.approx_count import ApproxCountKnownBound
+
+    return [ApproxCountKnownBound(i, rounds_bound=rounds_bound, width=width)
+            for i in range(n)]
 
 
 @register_nodes("hybrid_count")

@@ -1,8 +1,10 @@
-"""Experiment definitions T1–T3 / F1–F6 (the reconstructed evaluation).
+"""Experiment definitions T1–T3, F1–F6 and X1–X2 (the reconstructed
+evaluation and its extensions).
 
 Each ``run_*`` function regenerates one table or figure from DESIGN.md §3
-and returns an :class:`ExperimentResult` holding the raw rows plus
-rendered ASCII tables/figures.  ``quick=True`` shrinks sizes for tests
+(X1/X2: §S8) and returns an :class:`ExperimentResult` holding the raw
+rows plus rendered ASCII tables/figures.  Every simulated trial is a
+:class:`~repro.exec.TrialSpec`.  ``quick=True`` shrinks sizes for tests
 and smoke runs; the benches and the CLI use the full sizes.
 
 Conventions
@@ -11,9 +13,8 @@ Conventions
   last final (never-retracted) decision; for halting algorithms it is the
   total rounds executed — both are "time until every node knows the
   answer for good";
-* every trial's schedule satisfies a machine-checked T-interval promise
-  (the generators are verified in the test suite; adaptive schedules are
-  certified post-hoc on their realised prefix);
+* every trial's schedule satisfies a T-interval promise (the generators
+  are verified in the test suite; no run-time certificate is checked);
 * inputs are deterministic functions of node ids so oracles are exact.
 """
 
@@ -35,13 +36,7 @@ from ..analysis.fitting import power_law_fit
 from ..analysis.plotting import ascii_plot
 from ..analysis.stats import summarize
 from ..analysis.tables import render_table
-from ..baselines.klo import KCommitteeCount
-from ..baselines.token import RandomTokenDissemination, dissemination_complete
-from ..core.approx_count import ApproxCount, ApproxCountKnownBound
-from ..core.consensus import SublinearConsensus
 from ..core.exact_count import ExactCount
-from ..core.max_compute import SublinearMax
-from ..core.pipelining import PipelinedApproxCount
 from ..core.sketches import (
     ExponentialCountSketch,
     GeometricCountSketch,
@@ -49,25 +44,16 @@ from ..core.sketches import (
     required_width,
 )
 from ..dynamics import (
-    AlternatingMatchingsAdversary,
-    CutThrottleAdversary,
-    EdgeChurnAdversary,
-    FreshSpanningAdversary,
     OverlapHandoffAdversary,
-    RepairedMobilityAdversary,
     StaticAdversary,
-    WindowedThrottleAdversary,
-    build_topology,
     dynamic_diameter,
-    line_graph,
-    random_tree_graph,
     ring_of_cliques,
 )
 from ..exec.executor import ExecOptions
 from ..exec.specs import TrialSpec
 from ..simnet.engine import ENGINE_TIERS
 from ..simnet.rng import RngRegistry
-from .runner import TrialConfig, run_trial
+from .runner import run_replicates, run_trial
 
 __all__ = ["ExperimentResult", "EXPERIMENTS", "run_experiment"]
 
@@ -99,52 +85,13 @@ class ExperimentResult:
 # shared building blocks
 # --------------------------------------------------------------------------
 
-def _value(i: int) -> int:
-    """Deterministic node input for Max experiments."""
-    return (i * 37) % 1009
-
-
 def _lowdiam_schedule(n: int, T: int, seed: int) -> OverlapHandoffAdversary:
     """The evaluation's default low-``d`` T-interval adversary."""
     return OverlapHandoffAdversary(n, T, noise_edges=max(1, n // 8), seed=seed)
 
 
-def _count_oracle(outputs: Dict[int, Any], schedule) -> bool:
-    n = schedule.num_nodes
-    return len(outputs) == n and all(v == n for v in outputs.values())
-
-
-def _approx_oracle(eps: float):
-    def oracle(outputs: Dict[int, Any], schedule) -> bool:
-        n = schedule.num_nodes
-        return (len(outputs) == n
-                and all(abs(v / n - 1.0) <= eps for v in outputs.values()))
-    return oracle
-
-
-def _max_oracle(outputs: Dict[int, Any], schedule) -> bool:
-    n = schedule.num_nodes
-    true = max(_value(i) for i in range(n))
-    return len(outputs) == n and all(v == true for v in outputs.values())
-
-
-def _consensus_oracle(outputs: Dict[int, Any], schedule) -> bool:
-    n = schedule.num_nodes
-    values = set(outputs.values())
-    proposals = {f"p{i}" for i in range(n)}
-    return (len(outputs) == n and len(values) == 1
-            and next(iter(values)) in proposals)
-
-
-def _measured_rounds(result) -> int:
-    """Decision-completion time (see module docstring)."""
-    if result.last_decision_round is not None:
-        return int(result.last_decision_round)
-    return int(result.rounds)
-
-
 def _row_rounds(row: Dict[str, Any]) -> int:
-    """Decision-completion time from a flattened executor row."""
+    """Decision-completion time of a result row (see module docstring)."""
     if row.get("last_decision_round") is not None:
         return int(row["last_decision_round"])
     return int(row["rounds"])
@@ -337,12 +284,7 @@ def run_f1(quick: bool = False,
 
 def run_f2(quick: bool = False, *,
            exec_opts: Optional[ExecOptions] = None) -> ExperimentResult:
-    """F2: rounds vs ``T`` at fixed ``N``.
-
-    Runs serially regardless of *exec_opts*: the throttled-token series
-    attaches a ``stop_when`` closure, which cannot cross process
-    boundaries (accepted for CLI uniformity).
-    """
+    """F2: rounds vs ``T`` at fixed ``N``."""
     n = 24 if quick else 64
     Ts = [1, 2, 4] if quick else [1, 2, 4, 8, 16]
     seeds = [1] if quick else [1, 2, 3, 4, 5]
@@ -352,43 +294,46 @@ def run_f2(quick: bool = False, *,
         "token_dissem_throttled": ([], []),
         "klo_count": ([], []),
     }
-    for T in Ts:
-        # Core algorithm on the oblivious handoff adversary: flat in T.
-        config = TrialConfig(
-            schedule_factory=lambda seed, T=T: _lowdiam_schedule(n, T, seed),
-            node_factory=lambda sched, seed: [ExactCount(i) for i in range(n)],
-            max_rounds=20 * n + 2000, until="quiescent",
-            quiescence_window=64, oracle=_count_oracle)
-        ours = [
-            _measured_rounds(run_trial(config, seed)) for seed in seeds]
-        # KLO: oblivious to T by construction (deterministic prediction).
-        klo = klo_rounds(n)
+
+    def token(T: int) -> TrialSpec:
         # Token dissemination against the windowed adaptive throttle:
         # decreasing in T (the N^2/T-flavoured prior-work trade-off).
-        token = []
-        for seed in seeds:
-            config_tok = TrialConfig(
-                schedule_factory=lambda s, T=T: WindowedThrottleAdversary(n, T),
-                node_factory=lambda sched, seed: [
-                    RandomTokenDissemination(i) for i in range(n)],
-                max_rounds=200 * n * n, until="halted",
-                allow_timeout=True)
-            # stop when dissemination completes (oracle stop).
-            config_tok.stop_when = (
-                lambda sim: dissemination_complete(sim.nodes, n))
-            token.append(run_trial(config_tok, seed).rounds)
-        for T_, name, values in [
-            (T, "exact_count_ours", ours),
-            (T, "token_dissem_throttled", token),
-            (T, "klo_count", [klo]),
+        # Knowing N, a node decides once it holds all N tokens, so the
+        # run stops in the round dissemination completes.
+        return TrialSpec(
+            schedule="windowed_throttle", schedule_params={"n": n, "T": T},
+            nodes="token_dissemination",
+            node_params={"n": n, "known_count": True},
+            max_rounds=200 * n * n, until="decided", allow_timeout=True)
+
+    # Core algorithm on the oblivious handoff adversary: flat in T.
+    cells = [
+        (spec.with_tags(algorithm=name, T=T), seed)
+        for T in Ts
+        for name, spec in (
+            ("exact_count_ours", _count_specs(T)["exact_count_ours"](n)),
+            ("token_dissem_throttled", token(T)))
+        for seed in seeds
+    ]
+    grouped = _group_rows(_execute_cells(cells, exec_opts, "f2"),
+                          "algorithm", "T")
+    # KLO: oblivious to T by construction (deterministic prediction).
+    klo = klo_rounds(n)
+    for T in Ts:
+        for name, values in [
+            ("exact_count_ours",
+             [_row_rounds(r) for r in grouped[("exact_count_ours", T)]]),
+            ("token_dissem_throttled",
+             [r["rounds"] for r in grouped[("token_dissem_throttled", T)]]),
+            ("klo_count", [klo]),
         ]:
             s = summarize([float(v) for v in values])
             result.rows.append({
-                "algorithm": name, "T": T_, "n": n, "rounds": s.mean,
+                "algorithm": name, "T": T, "n": n, "rounds": s.mean,
                 "rounds_std": s.std,
             })
             xs, ys = series[name]
-            xs.append(float(T_))
+            xs.append(float(T))
             ys.append(s.mean)
     result.tables["f2"] = render_table(
         result.rows, title=f"F2 — rounds vs T (N={n}, mean of {len(seeds)} seeds)")
@@ -499,8 +444,9 @@ def run_f4(quick: bool = False, *,
            exec_opts: Optional[ExecOptions] = None) -> ExperimentResult:
     """F4: sketch accuracy/coverage vs ε (full-sim + direct Monte Carlo).
 
-    Runs serially regardless of *exec_opts*: trials share pre-built
-    schedule objects and the Monte Carlo pass dominates anyway.
+    Runs serially regardless of *exec_opts*: each trial's spec embeds its
+    schedule's measured ``d``, the rows read each trial's output sample,
+    and the Monte Carlo pass dominates anyway.
     """
     n = 32 if quick else 64
     T = 2
@@ -518,15 +464,14 @@ def run_f4(quick: bool = False, *,
         # agree; the sim trials certify the protocol plumbing.
         sim_errors = []
         for t in range(sim_trials):
-            sched = _lowdiam_schedule(n, T, 100 + t)
-            d = dynamic_diameter(sched)
-            config = TrialConfig(
-                schedule_factory=lambda seed, sched=sched: sched,
-                node_factory=lambda s, seed, width=width: [
-                    ApproxCountKnownBound(i, rounds_bound=d + 2, width=width)
-                    for i in range(n)],
+            d = dynamic_diameter(_lowdiam_schedule(n, T, 100 + t))
+            spec = TrialSpec(
+                schedule="lowdiam_handoff",
+                schedule_params={"n": n, "T": T, "schedule_seed": 100 + t},
+                nodes="approx_count_known_bound",
+                node_params={"n": n, "rounds_bound": d + 2, "width": width},
                 max_rounds=d + 3, until="halted")
-            tr = run_trial(config, 500 + t)
+            tr = run_trial(spec, 500 + t)
             sim_errors.append(abs(tr.outputs_sample / n - 1.0))
         # Direct Monte Carlo of the estimator (no network needed).
         draws = rng.exponential(1.0, size=(mc_trials, n, width))
@@ -555,72 +500,62 @@ def run_f4(quick: bool = False, *,
 # T2 — adversary robustness for Max & Consensus
 # --------------------------------------------------------------------------
 
-def _t2_adversaries(n: int) -> Dict[str, Callable[[int], object]]:
-    tree_rng = np.random.default_rng(7)
-    tree = random_tree_graph(n, tree_rng)
-    return {
-        "static_line": lambda seed: StaticAdversary(n, line_graph(n)),
-        "static_expander": lambda seed: StaticAdversary(
-            n, build_topology("expander", n, np.random.default_rng(seed))),
-        "fresh_random": lambda seed: FreshSpanningAdversary(n, seed=seed),
-        "handoff_T2": lambda seed: OverlapHandoffAdversary(n, 2, seed=seed),
-        "alternating": lambda seed: AlternatingMatchingsAdversary(n),
-        "churn": lambda seed: EdgeChurnAdversary(n, tree, seed=seed),
-        "mobility_T2": lambda seed: RepairedMobilityAdversary(
-            n, T=2, seed=seed),
-        "adaptive_throttle": lambda seed: CutThrottleAdversary(
-            n, key=lambda node: float(getattr(node, "progress", 0.0))),
-    }
+# T2's adversary zoo: row name -> (schedule builder, params besides n).
+_T2_ADVERSARIES: Dict[str, Tuple[str, Dict[str, Any]]] = {
+    "static_line": ("static_line", {}),
+    "static_expander": ("static", {"topology": "expander"}),
+    "fresh_random": ("fresh_spanning", {}),
+    "handoff_T2": ("overlap_handoff", {"T": 2}),
+    "alternating": ("alternating_matchings", {}),
+    "churn": ("edge_churn", {}),
+    "mobility_T2": ("repaired_mobility", {"T": 2}),
+    "adaptive_throttle": ("cut_throttle", {}),
+}
+
+# T2's problems: row name -> (node builder, oracle, baseline rounds(n)).
+_T2_PROBLEMS: Dict[str, Tuple[str, str, Callable[[int], int]]] = {
+    "max_ours": ("sublinear_max_modvalue", "max_modvalue", flood_rounds),
+    "consensus_ours": ("sublinear_consensus", "consensus_valid",
+                       flood_rounds),
+    "count_ours": ("exact_count", "count_exact", klo_rounds),
+}
 
 
 def run_t2(quick: bool = False, *,
            exec_opts: Optional[ExecOptions] = None) -> ExperimentResult:
-    """T2: Max / Consensus / Count across the adversary zoo.
-
-    Runs serially regardless of *exec_opts*: the adaptive adversaries
-    carry lambda keys that cannot be pickled into worker processes.
-    """
+    """T2: Max / Consensus / Count across the adversary zoo."""
     n = 24 if quick else 96
     seeds = [1] if quick else [1, 2, 3]
     result = ExperimentResult("T2", f"Adversary robustness at N={n}")
-    problems: Dict[str, Tuple[Callable, Callable, Callable]] = {
-        # name -> (node_factory, oracle, baseline_rounds)
-        "max_ours": (
-            lambda sched, seed: [SublinearMax(i, _value(i))
-                                 for i in range(n)],
-            _max_oracle, lambda: flood_rounds(n)),
-        "consensus_ours": (
-            lambda sched, seed: [SublinearConsensus(i, f"p{i}")
-                                 for i in range(n)],
-            _consensus_oracle, lambda: flood_rounds(n)),
-        "count_ours": (
-            lambda sched, seed: [ExactCount(i) for i in range(n)],
-            _count_oracle, lambda: klo_rounds(n)),
+    specs = {
+        (adv_name, prob_name): TrialSpec(
+            schedule=schedule, schedule_params={"n": n, **params},
+            nodes=nodes, node_params={"n": n},
+            max_rounds=60 * n + 4000, until="quiescent",
+            quiescence_window=max(64, n // 2), oracle=oracle,
+            tags={"adversary": adv_name, "problem": prob_name})
+        for adv_name, (schedule, params) in _T2_ADVERSARIES.items()
+        for prob_name, (nodes, oracle, _) in _T2_PROBLEMS.items()
     }
-    for adv_name, factory in _t2_adversaries(n).items():
-        for prob_name, (node_factory, oracle, baseline) in problems.items():
-            rounds, correct, d_obs = [], [], []
-            for seed in seeds:
-                config = TrialConfig(
-                    schedule_factory=factory,
-                    node_factory=node_factory,
-                    max_rounds=60 * n + 4000, until="quiescent",
-                    quiescence_window=max(64, n // 2), oracle=oracle)
-                tr = run_trial(config, seed)
-                rounds.append(_measured_rounds(tr))
-                correct.append(tr.correct)
-                sched = factory(seed)
-                if hasattr(sched, "_recorded") or hasattr(sched, "decide_edges"):
-                    d_obs.append(None)  # adaptive: d defined post-hoc
-                else:
-                    d_obs.append(dynamic_diameter(sched))
-            ds = [x for x in d_obs if x is not None]
+    cells = [(spec, seed) for spec in specs.values() for seed in seeds]
+    grouped = _group_rows(_execute_cells(cells, exec_opts, "t2"),
+                          "adversary", "problem")
+    for adv_name in _T2_ADVERSARIES:
+        # d of the trial schedules; an adaptive schedule (one the engine
+        # binds to the nodes) has no d before the run.
+        build = specs[(adv_name, "max_ours")].to_config().schedule_factory
+        scheds = [build(seed) for seed in seeds]
+        ds = [dynamic_diameter(sched) for sched in scheds
+              if getattr(sched, "bind", None) is None]
+        for prob_name, (_, _, baseline) in _T2_PROBLEMS.items():
+            measured = grouped[(adv_name, prob_name)]
             result.rows.append({
                 "adversary": adv_name, "problem": prob_name,
                 "d": (float(np.mean(ds)) if ds else None),
-                "rounds": summarize([float(v) for v in rounds]).mean,
-                "baseline_rounds": float(baseline()),
-                "correct": all(correct),
+                "rounds": summarize(
+                    [float(_row_rounds(r)) for r in measured]).mean,
+                "baseline_rounds": float(baseline(n)),
+                "correct": all(r["correct"] for r in measured),
             })
     result.tables["t2"] = render_table(
         result.rows, title=f"T2 — rounds across adversaries (N={n})")
@@ -765,7 +700,8 @@ def run_t3(quick: bool = False, *,
     """T3: ablations of the reconstruction's design choices.
 
     Runs serially regardless of *exec_opts* (mixed simulation /
-    closed-form / Monte Carlo rows).
+    closed-form / Monte Carlo rows; the controller rows read each
+    trial's counters).
     """
     n = 24 if quick else 96
     T = 2
@@ -775,18 +711,16 @@ def run_t3(quick: bool = False, *,
     # (a)+(b) controller knobs: growth and initial window.
     for growth in [2, 4, 8]:
         for init in [1, 8]:
-            rounds, retr = [], []
-            for seed in seeds:
-                config = TrialConfig(
-                    schedule_factory=lambda s: _lowdiam_schedule(n, T, s),
-                    node_factory=lambda sched, s, g=growth, iw=init: [
-                        ExactCount(i, initial_window=iw, window_growth=g)
-                        for i in range(n)],
-                    max_rounds=40 * n + 4000, until="quiescent",
-                    quiescence_window=64, oracle=_count_oracle)
-                tr = run_trial(config, seed)
-                rounds.append(_measured_rounds(tr))
-                retr.append(tr.counters.get("retractions", 0))
+            spec = TrialSpec(
+                schedule="lowdiam_handoff", schedule_params={"n": n, "T": T},
+                nodes="exact_count",
+                node_params={"n": n, "initial_window": init,
+                             "window_growth": growth},
+                max_rounds=40 * n + 4000, until="quiescent",
+                quiescence_window=64, oracle="count_exact")
+            trials = run_replicates(spec, seeds)
+            rounds = [_row_rounds(tr.as_row()) for tr in trials]
+            retr = [tr.counters.get("retractions", 0) for tr in trials]
             result.rows.append({
                 "ablation": "controller", "variant":
                     f"growth={growth},init_window={init}",
@@ -830,17 +764,15 @@ def run_t3(quick: bool = False, *,
 
     # (d) pipelining strategy under a 4-word budget.
     for strategy in ["tdm", "greedy"]:
-        rounds = []
-        for seed in seeds:
-            config = TrialConfig(
-                schedule_factory=lambda s: _lowdiam_schedule(n, T, s),
-                node_factory=lambda sched, s, strat=strategy: [
-                    PipelinedApproxCount(i, words_per_message=4, width=40,
-                                         strategy=strat)
-                    for i in range(n)],
-                max_rounds=100 * n + 8000, until="quiescent",
-                quiescence_window=80)
-            rounds.append(_measured_rounds(run_trial(config, seed)))
+        spec = TrialSpec(
+            schedule="lowdiam_handoff", schedule_params={"n": n, "T": T},
+            nodes="pipelined_approx_count",
+            node_params={"n": n, "words_per_message": 4, "width": 40,
+                         "strategy": strategy},
+            max_rounds=100 * n + 8000, until="quiescent",
+            quiescence_window=80)
+        rounds = [_row_rounds(tr.as_row())
+                  for tr in run_replicates(spec, seeds)]
         result.rows.append({
             "ablation": "pipelining", "variant": strategy,
             "rounds": summarize([float(v) for v in rounds]).mean,

@@ -1,10 +1,12 @@
 """Generic trial execution.
 
-A *trial* is one simulation: a schedule factory, a node factory, stop
-configuration, and an optional correctness oracle.  :func:`run_trial`
-executes it and returns a :class:`TrialResult` with the standard measured
-quantities (rounds, last-final-decision round, bits, correctness);
-:func:`run_replicates` repeats over seeds.
+A *trial* is one simulation, described by a
+:class:`repro.exec.TrialSpec`: a registered schedule, node set, stop
+configuration and optional correctness oracle.  :func:`run_trial`
+resolves the spec into a :class:`TrialConfig`, executes it and returns a
+:class:`TrialResult` with the standard measured quantities (rounds,
+last-final-decision round, bits, correctness); :func:`run_replicates`
+repeats over seeds.
 
 The measured quantity of record for stabilizing algorithms is
 ``last_decision_round`` — the round in which the last node fixed the
@@ -17,7 +19,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from typing import (TYPE_CHECKING, Any, Callable, Dict, List, Mapping,
-                    Optional, Sequence, Tuple, Union)
+                    Optional, Sequence, Tuple)
 
 from ..obs import events as obs_events
 from ..obs.recorder import Recorder, events_dir
@@ -118,14 +120,13 @@ ScheduleFactory = Callable[[int], object]         # seed -> schedule
 NodeFactory = Callable[[object, int], Sequence[Algorithm]]  # (schedule, seed) -> nodes
 Oracle = Callable[[Dict[int, Any], object], bool]  # (outputs, schedule) -> ok
 
-#: Anything :func:`run_trial` accepts: a lambda-based config or a
-#: declarative, picklable spec (see :mod:`repro.exec.specs`).
-TrialLike = Union["TrialConfig", "TrialSpec"]
-
 
 @dataclass
 class TrialConfig:
-    """Everything needed to run one simulation trial.
+    """A :class:`~repro.exec.TrialSpec` resolved into callables.
+
+    Built only by :meth:`repro.exec.TrialSpec.to_config`; it is the
+    in-process form :func:`run_trial` executes.
 
     Attributes
     ----------
@@ -137,8 +138,6 @@ class TrialConfig:
         Round budget.
     until / quiescence_window:
         Stop condition, as in :meth:`repro.simnet.engine.Simulator.run`.
-    stop_when:
-        Optional oracle stop predicate over the simulator.
     oracle:
         Optional output-correctness check ``(outputs, schedule) -> bool``.
     bandwidth_bits:
@@ -158,7 +157,6 @@ class TrialConfig:
     max_rounds: int
     until: str = "halted"
     quiescence_window: int = 1
-    stop_when: Optional[Callable[[Simulator], bool]] = None
     oracle: Optional[Oracle] = None
     bandwidth_bits: Optional[int] = None
     allow_timeout: bool = False
@@ -218,7 +216,7 @@ class TrialResult:
 _STREAM_SEQ = 0
 
 
-def _open_trial_recorder(label: str, spec_key: str, seed: int,
+def _open_trial_recorder(spec: TrialSpec, seed: int,
                          config: TrialConfig) -> Optional[Recorder]:
     """A JSONL recorder for this trial, or None when events are off."""
     global _STREAM_SEQ
@@ -230,39 +228,35 @@ def _open_trial_recorder(label: str, spec_key: str, seed: int,
         out_dir, f"trial-{os.getpid()}-{_STREAM_SEQ:04d}-seed{seed}.jsonl")
     recorder = Recorder.to_jsonl(path)
     recorder.emit(obs_events.TrialEvent(
-        seed=seed, label=label, spec=spec_key,
+        seed=seed, label=spec.label(), spec=spec.key(seed),
         engine=engine_default(),
         until=config.until, max_rounds=config.max_rounds))
     return recorder
 
 
-def run_trial(config: TrialLike, seed: int) -> TrialResult:
-    """Execute one trial with the given seed.
+def run_trial(spec: TrialSpec, seed: int) -> TrialResult:
+    """Execute the trial *spec* describes with the given seed.
 
-    Accepts either a :class:`TrialConfig` or a declarative
-    :class:`repro.exec.TrialSpec` (resolved via its ``to_config``); all
-    randomness derives from ``RngRegistry(seed)``, never ambient state,
-    so equal inputs reproduce byte-identical results in any process.
+    All randomness derives from ``RngRegistry(seed)``, never ambient
+    state, so equal inputs reproduce byte-identical results in any
+    process.
 
     When a process-wide events directory is configured (the CLI's
     ``--events DIR`` flag or ``REPRO_EVENTS_DIR``; see
     :mod:`repro.obs`), the trial additionally writes a schema-validated
     ``trial-*.jsonl`` event stream there, headed by a provenance
-    record.  Recording never changes the measured results — the engine
-    guarantees recorded and unrecorded runs are bit-identical.  Recorded
+    record (the spec's label and content address).  Recording never
+    changes the measured results — the engine guarantees recorded and
+    unrecorded runs are bit-identical.  Recorded
     results additionally carry ``obs.*`` event counters and ``cache.*``
     hit/miss counters; like ``phase.*`` / ``engine.*`` these are
     telemetry, stripped wherever rows are persisted (see
     :func:`durable_row`).
     """
-    label = spec_key = ""
-    if not isinstance(config, TrialConfig):
-        label = config.label()
-        spec_key = config.key(seed)
-        config = config.to_config()
+    config = spec.to_config()
     schedule = config.schedule_factory(seed)
     nodes = list(config.node_factory(schedule, seed))
-    recorder = _open_trial_recorder(label, spec_key, seed, config)
+    recorder = _open_trial_recorder(spec, seed, config)
     sim = Simulator(
         schedule, nodes, rng=RngRegistry(seed),
         bandwidth_bits=config.bandwidth_bits,
@@ -273,7 +267,6 @@ def run_trial(config: TrialLike, seed: int) -> TrialResult:
             max_rounds=config.max_rounds,
             until=config.until,
             quiescence_window=config.quiescence_window,
-            stop_when=config.stop_when,
             allow_timeout=config.allow_timeout,
         )
     finally:
@@ -308,7 +301,7 @@ def run_trial(config: TrialLike, seed: int) -> TrialResult:
     )
 
 
-def run_replicates(config: TrialLike,
+def run_replicates(spec: TrialSpec,
                    seeds: Sequence[int]) -> List[TrialResult]:
     """Run the trial once per seed, collecting all results."""
-    return [run_trial(config, seed) for seed in seeds]
+    return [run_trial(spec, seed) for seed in seeds]

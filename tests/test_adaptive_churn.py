@@ -100,6 +100,30 @@ class TestWindowedThrottle:
             adv.to_explicit(), T, horizon=res.rounds, raise_on_failure=False)
         assert ok, f"window {bad}"
 
+    @pytest.mark.parametrize("T", [1, 2, 4])
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_known_count_decided_matches_dissemination_stop(self, T, seed):
+        """Knowing N, token nodes decide in the round the last of them
+        holds every token, so ``until="decided"`` stops where the
+        ``dissemination_complete`` predicate does (F2 measures this)."""
+        n = 24
+
+        def run(target_count, **stop):
+            nodes = [RandomTokenDissemination(i, target_count=target_count)
+                     for i in range(n)]
+            sim = Simulator(WindowedThrottleAdversary(n, T), nodes,
+                            rng=RngRegistry(seed))
+            return sim.run(max_rounds=200 * n * n, allow_timeout=True,
+                           **stop)
+
+        oracle = run(None, until="halted",
+                     stop_when=lambda s: dissemination_complete(s.nodes, n))
+        decided = run(n, until="decided")
+        assert decided.stop_reason == "decided"
+        assert decided.rounds == oracle.rounds
+        assert (decided.metrics.broadcast_bits
+                == oracle.metrics.broadcast_bits)
+
     def test_path_stable_within_window(self):
         n = 10
         adv = WindowedThrottleAdversary(n, 4)

@@ -15,8 +15,18 @@ import os
 import subprocess
 import sys
 
+from types import SimpleNamespace
+
+import numpy as np
 import pytest
 
+from repro.core import ApproxCountKnownBound
+from repro.dynamics import (
+    CutThrottleAdversary,
+    EdgeChurnAdversary,
+    OverlapHandoffAdversary,
+    random_tree_graph,
+)
 from repro.errors import ConfigurationError
 from repro.exec import (
     CODE_VERSION_SALT,
@@ -32,7 +42,7 @@ from repro.exec import (
 )
 from repro.exec.cli import load_sweep_file, spec_from_template
 from repro.exec.progress import ProgressSnapshot
-from repro.harness.runner import TrialConfig, run_trial
+from repro.harness.runner import run_trial
 from repro.harness.sweeps import sweep, sweep_with_report
 from repro.simnet.rng import derive_seeds
 
@@ -63,21 +73,6 @@ class TestTrialSpec:
         tr = run_trial(tiny_spec(), seed=3)
         assert tr.correct is True
         assert tr.stop_reason == "quiescent"
-
-    def test_matches_equivalent_trial_config(self):
-        from repro.core import ExactCount
-        from repro.dynamics import FreshSpanningAdversary
-
-        config = TrialConfig(
-            schedule_factory=lambda seed: FreshSpanningAdversary(
-                8, seed=seed),
-            node_factory=lambda sched, seed: [
-                ExactCount(i) for i in range(8)],
-            max_rounds=2000, until="quiescent", quiescence_window=16)
-        a = run_trial(config, seed=5)
-        b = run_trial(tiny_spec(), seed=5)
-        assert a.rounds == b.rounds
-        assert a.broadcast_bits == b.broadcast_bits
 
     def test_key_stable_and_tag_insensitive(self):
         a = tiny_spec().key(1)
@@ -120,6 +115,60 @@ class TestTrialSpec:
     def test_canonical_json_is_order_insensitive(self):
         assert canonical_json({"b": 1, "a": 2}) == canonical_json(
             {"a": 2, "b": 1})
+
+
+class TestBuilders:
+    """The T2/F4 builders construct what those experiments once built
+    by direct constructor calls."""
+
+    N = 16
+
+    @staticmethod
+    def schedule(name, seed, **params):
+        spec = TrialSpec(schedule=name, schedule_params=params,
+                         nodes="exact_count", node_params={"n": 1},
+                         max_rounds=1)
+        return spec.to_config().schedule_factory(seed)
+
+    @pytest.mark.parametrize("name,params,direct", [
+        ("edge_churn", {}, lambda n: EdgeChurnAdversary(
+            n, random_tree_graph(n, np.random.default_rng(7)), seed=3)),
+        ("lowdiam_handoff", {"T": 2, "schedule_seed": 103},
+         lambda n: OverlapHandoffAdversary(n, 2, noise_edges=2, seed=103)),
+        ("cut_throttle", {}, lambda n: CutThrottleAdversary(
+            n, key=lambda node: float(getattr(node, "progress", 0.0)))),
+    ], ids=["edge_churn", "lowdiam_handoff", "cut_throttle"])
+    def test_schedule_edges_match_direct_construction(self, name, params,
+                                                      direct):
+        n = self.N
+        built = self.schedule(name, 3, n=n, **params)
+        expected = direct(n)
+        nodes = [SimpleNamespace(progress=0.0) for _ in range(n)]
+        for sched in (built, expected):
+            if getattr(sched, "bind", None) is not None:
+                sched.bind(nodes)
+        for r in range(1, 9):
+            for i, node in enumerate(nodes):
+                node.progress = float((i * (r + 4)) % n)
+            assert np.array_equal(built.edges(r), expected.edges(r)), r
+
+    def test_known_bound_nodes_match_direct_construction(self):
+        n = self.N
+        spec = TrialSpec(schedule="lowdiam_handoff",
+                         schedule_params={"n": n, "T": 2},
+                         nodes="approx_count_known_bound",
+                         node_params={"n": n, "rounds_bound": 9,
+                                      "width": 40},
+                         max_rounds=10)
+        built = spec.to_config().node_factory(None, 1)
+        expected = [ApproxCountKnownBound(i, rounds_bound=9, width=40)
+                    for i in range(n)]
+
+        def fields(node):
+            return (type(node), node.node_id, node.rounds_bound,
+                    type(node.sketch), node.sketch.width)
+
+        assert [fields(a) for a in built] == [fields(b) for b in expected]
 
 
 class TestCacheAndJournal:
@@ -239,11 +288,9 @@ class TestExecutor:
         assert second.executed == 1  # re-executed, not served from cache
 
     def test_rejects_trial_config_cells(self):
-        config = TrialConfig(schedule_factory=lambda s: None,
-                             node_factory=lambda sch, s: [],
-                             max_rounds=10)
+        # The resolved in-process form holds closures: not a cell.
         with pytest.raises(ConfigurationError, match="TrialSpec"):
-            ParallelExecutor().run([(config, 1)])
+            ParallelExecutor().run([(tiny_spec().to_config(), 1)])
 
     def test_progress_snapshots_emitted(self):
         snaps = []
@@ -276,29 +323,12 @@ class TestSweepIntegration:
         assert report2.executed == 0 and report2.cache_hits == 4
         assert rows1 == rows2
 
-    def test_sweep_config_builder_still_works(self):
-        from repro.core import ExactCount
-        from repro.dynamics import FreshSpanningAdversary
-
+    def test_sweep_rejects_config_builder(self):
         def build(p):
-            return TrialConfig(
-                schedule_factory=lambda seed: FreshSpanningAdversary(
-                    p["n"], seed=seed),
-                node_factory=lambda sched, seed: [
-                    ExactCount(i) for i in range(p["n"])],
-                max_rounds=2000, until="quiescent", quiescence_window=16)
-
-        rows = sweep(grid={"n": [4]}, build=build, seeds=[1])
-        assert rows[0]["n"] == 4 and rows[0]["seed"] == 1
-
-    def test_sweep_config_builder_rejects_workers(self):
-        def build(p):
-            return TrialConfig(schedule_factory=lambda s: None,
-                               node_factory=lambda sch, s: [],
-                               max_rounds=10)
+            return tiny_spec(n=p["n"]).to_config()
 
         with pytest.raises(ConfigurationError, match="TrialSpec"):
-            sweep(grid={"n": [4]}, build=build, workers=2)
+            sweep(grid={"n": [4]}, build=build)
 
     def test_sweep_on_error_record(self):
         def build(p):
@@ -310,12 +340,15 @@ class TestSweepIntegration:
         assert rows[0]["correct"] and rows[2]["correct"]
 
     @pytest.mark.slow
-    def test_experiment_grid_parallel_matches_serial(self, tmp_path):
+    @pytest.mark.parametrize("exp_id", ["t1", "f2", "t2"])
+    def test_experiment_grid_parallel_matches_serial(self, tmp_path,
+                                                     exp_id):
         from repro.exec import ExecOptions
-        from repro.harness.experiments import run_t1
+        from repro.harness.experiments import EXPERIMENTS
 
-        serial = run_t1(quick=True)
-        parallel = run_t1(quick=True, exec_opts=ExecOptions(
+        run = EXPERIMENTS[exp_id]
+        serial = run(quick=True)
+        parallel = run(quick=True, exec_opts=ExecOptions(
             workers=2, cache_dir=str(tmp_path / "cache")))
         assert canonical_json(serial.rows) == canonical_json(parallel.rows)
 
